@@ -364,8 +364,9 @@ func benchWavefront(b *testing.B, file, module string, argsFor func(m, maxK int6
 			b.Run(fmt.Sprintf("%s/AutoPar%d", sz.name, w), func(b *testing.B) {
 				run(b, ps.Workers(w))
 			})
-			// The schedule ablation: the same wavefront plan under the
-			// pinned per-plane barrier sweep vs the doacross pipeline.
+			// The schedule ablation: the same wavefront plan with tiles
+			// waiting on the whole previous plane (barrier) vs on the
+			// dependence window's tiles (doacross).
 			b.Run(fmt.Sprintf("%s/BarrierPar%d", sz.name, w), func(b *testing.B) {
 				run(b, ps.Workers(w), ps.WithSchedule(ps.ScheduleBarrier))
 			})

@@ -1,8 +1,8 @@
 // Command psbench measures the wavefront execution variants on the
 // dependence-carrying corpus modules and writes the results as
 // machine-readable JSON, so the performance trajectory of the §4
-// schedules (sequential baseline, untransformed nest, barrier sweep,
-// doacross pipeline, auto selection) can be tracked across commits
+// schedules (sequential baseline, untransformed nest, and the doacross
+// executor under the barrier, doacross and auto tile shapes) can be tracked across commits
 // without parsing `go test -bench` text.
 //
 // Usage:
@@ -275,8 +275,8 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			// Warm once: allocations, pool spin-up, and the one-shot
-			// wavefront grain calibration all land outside the timing.
+			// Warm once: allocations and pool spin-up land outside the
+			// timing.
 			if _, _, err := run.Run(nil, args); err != nil {
 				fatal(err)
 			}

@@ -12,8 +12,7 @@ import (
 // test (the §5 fusion argument generalized to the batch axis), and the
 // whole batch dispatches to the worker pool as one parallel loop — the
 // same chunked claim machinery that serves collapsed DOALL steps.
-// Plan lookup, bound-thunk tables and the one-shot wavefront grain
-// calibration are shared across all elements, which is what makes
+// Plan lookup and bound-thunk tables are shared across all elements, which is what makes
 // batched serving cheaper than len(batch) independent activations.
 //
 // Each element runs with the semantics of an independent RunCtx call:

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/plan"
 	"repro/internal/psrc"
 	"repro/internal/sched"
 	"repro/internal/value"
@@ -23,22 +22,28 @@ func runGS(t *testing.T, ip *interp.Program, m, maxK int64, opts interp.Options)
 
 // TestDoacrossScheduleParity runs the auto-hyperplane Gauss–Seidel nest
 // under every schedule policy at several widths and grains; all must be
-// bitwise identical to the sequential reference, and the doacross runs
-// must actually exercise the tile pipeline (Tiles > 0).
+// bitwise identical to the sequential reference, every parallel run
+// must execute doacross tiles (the barrier policy is a tile shape of
+// the same executor), and the plane count must match the 1-worker
+// plane loop's.
 func TestDoacrossScheduleParity(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
 	const m, maxK = 13, 7
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true})
+	// A 1-worker run takes the wavefront plan through the sequential
+	// plane loop: the plane count every parallel schedule must match.
+	var oneStats interp.Stats
+	runGS(t, ip, m, maxK, interp.Options{Workers: 1, Stats: &oneStats})
 	for _, tc := range []struct {
-		name     string
-		opts     interp.Options
-		doacross bool
+		name string
+		opts interp.Options
 	}{
-		{"DoacrossPar2", interp.Options{Workers: 2, Schedule: sched.PolicyDoacross}, true},
-		{"DoacrossPar4", interp.Options{Workers: 4, Schedule: sched.PolicyDoacross}, true},
-		{"DoacrossPar3Grain8", interp.Options{Workers: 3, Grain: 8, Schedule: sched.PolicyDoacross}, true},
-		{"BarrierPar4", interp.Options{Workers: 4, Schedule: sched.PolicyBarrier}, false},
-		{"AutoPar4", interp.Options{Workers: 4}, false},
+		{"DoacrossPar2", interp.Options{Workers: 2, Schedule: sched.PolicyDoacross}},
+		{"DoacrossPar4", interp.Options{Workers: 4, Schedule: sched.PolicyDoacross}},
+		{"DoacrossPar3Grain8", interp.Options{Workers: 3, Grain: 8, Schedule: sched.PolicyDoacross}},
+		{"BarrierPar2Grain2", interp.Options{Workers: 2, Grain: 2, Schedule: sched.PolicyBarrier}},
+		{"BarrierPar4", interp.Options{Workers: 4, Schedule: sched.PolicyBarrier}},
+		{"AutoPar4", interp.Options{Workers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats
@@ -47,41 +52,13 @@ func TestDoacrossScheduleParity(t *testing.T) {
 			if !reflect.DeepEqual(got.F, want.F) {
 				t.Errorf("%s diverges from sequential reference", tc.name)
 			}
-			if tc.doacross && stats.Doacross.Tiles.Load() == 0 {
+			if stats.Doacross.Tiles.Load() == 0 {
 				t.Errorf("%s executed no doacross tiles", tc.name)
 			}
-			if !tc.doacross && tc.opts.Schedule == sched.PolicyBarrier && stats.Doacross.Tiles.Load() != 0 {
-				t.Errorf("%s executed doacross tiles under the barrier policy", tc.name)
+			if got, want := stats.Planes.Load(), oneStats.Planes.Load(); got != want || got == 0 {
+				t.Errorf("%s swept %d planes, the plane loop %d", tc.name, got, want)
 			}
 		})
-	}
-}
-
-// TestWavefrontGrainCalibration checks the one-shot kernel-cost
-// measurement: before any run the plan reports the fixed default, and
-// a run through a wavefront nest (either schedule) calibrates a
-// positive ns/point from which the threshold derives.
-func TestWavefrontGrainCalibration(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
-	popts := plan.Options{Hyperplane: true}
-	grain, cost := ip.WavefrontGrain("Relaxation", popts)
-	if cost != 0 {
-		t.Fatalf("plan calibrated before any run: %d ns/point", cost)
-	}
-	if grain != 32 {
-		t.Fatalf("uncalibrated grain = %d, want the 32-point default", grain)
-	}
-	runGS(t, ip, 13, 6, interp.Options{Workers: 2})
-	grain, cost = ip.WavefrontGrain("Relaxation", popts)
-	if cost <= 0 {
-		t.Fatal("run did not calibrate the wavefront kernel cost")
-	}
-	if grain < 8 || grain > 4096 {
-		t.Fatalf("calibrated grain %d outside [8, 4096]", grain)
-	}
-	// Unknown modules fall back to the default, not a panic.
-	if g, c := ip.WavefrontGrain("NoSuchModule", popts); g != 32 || c != 0 {
-		t.Errorf("unknown module grain = (%d, %d)", g, c)
 	}
 }
 
@@ -110,20 +87,23 @@ func TestDoacrossGrainControlsTiles(t *testing.T) {
 	}
 }
 
-// TestDoacrossAutoNarrowPlanes pins the auto decision's doacross side:
-// a nest whose planes are narrow relative to grain×workers must take
-// the pipelined schedule under PolicyAuto.
+// TestDoacrossAutoNarrowPlanes pins the inline gate: a nest whose
+// work-sized tile grid is a single tile runs its planes on the calling
+// goroutine, still counted as one tile instance per plane, and stays
+// bitwise identical to the sequential reference.
 func TestDoacrossAutoNarrowPlanes(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
 	var stats interp.Stats
-	// m=4 gives ~36-point average planes; workers=4 with the default
-	// 32-point grain sets the auto cutoff at 128.
+	// m=4: a 6×6 plane box, so a 64-point tile spans the whole plane.
 	got := runGS(t, ip, 4, 6, interp.Options{Workers: 4, Stats: &stats})
 	want := runGS(t, ip, 4, 6, interp.Options{Sequential: true})
 	if !reflect.DeepEqual(got.F, want.F) {
-		t.Error("auto doacross run diverges from sequential reference")
+		t.Error("inline one-tile run diverges from sequential reference")
 	}
-	if stats.Doacross.Tiles.Load() == 0 {
-		t.Error("auto policy did not choose doacross for narrow planes")
+	if stats.Doacross.Tiles.Load() < stats.Planes.Load() || stats.Planes.Load() == 0 {
+		t.Errorf("one-tile run counted %d tiles over %d planes", stats.Doacross.Tiles.Load(), stats.Planes.Load())
+	}
+	if stats.Doacross.Stalls.Load() != 0 || stats.Doacross.Steals.Load() != 0 {
+		t.Error("one-tile run went through the doacross scheduler")
 	}
 }

@@ -20,14 +20,14 @@
 // Options select among the four compiled [fuse][hyperplane] plan
 // variants at activation time (variants that lower identically share a
 // compiled plan); equation kernels are compiled once and shared by all
-// of them. Wavefront steps additionally choose an execution strategy
-// per activation: the per-plane barrier sweep or the doacross tile
-// pipeline (internal/sched), forced by Options.Schedule or chosen
-// automatically from the measured kernel cost.
+// of them. Parallel activations run wavefront steps as doacross tiles
+// (internal/sched); Options.Schedule picks the tiles' predecessor
+// shape — the dependence window's tiles, or the whole previous plane
+// under PolicyBarrier.
 //
 // # Bitwise-identical results
 //
-// Every variant × strategy combination runs the same kernel closures at
+// Every variant × schedule combination runs the same kernel closures at
 // exactly the original iteration points in a dependence-respecting
 // order, so results are bitwise identical to the sequential reference:
 //
@@ -36,18 +36,19 @@
 //     with π·d ≥ 1 for every dependence d of the nest's equation group,
 //     and each in-box plane point runs the group's kernels in scheduled
 //     order, preserving in-plane zero-distance dependences;
-//   - both wavefront strategies share one geometry (wfSpace): the same
-//     per-plane tightened bounds, the same T⁻¹ preimages, the same
+//   - the sequential plane loop and the tiles share one geometry
+//     (wfSpace): the same per-plane tightened bounds, the same T⁻¹ preimages, the same
 //     guard against bounding-box slack.
 //
 // The variants parity matrix (variants_test.go at the repo root)
 // enforces this across the corpus under -race.
 //
-// # Calibration
+// # Tile sizing
 //
-// The first activation that times a plane writes the plan's one-shot
-// wavefront kernel cost (ns per executed point — for a multi-equation
-// group, the combined cost of every kernel the point runs). The
-// calibrated cost derives the inline-plane threshold and sharpens the
-// auto barrier/doacross decision; until then a fixed default applies.
+// Tile widths come from point counts, never from timings: the blocked
+// plane coordinate is cut into span/(workers×sched.TilesPerWorker)
+// wide tiles, widened until a tile covers minTilePoints points of the
+// plane box (Options.Grain overrides the width). A nest whose grid is a
+// single tile runs its planes on the calling goroutine with no pool
+// dispatch. The same options therefore always give the same schedule.
 package interp

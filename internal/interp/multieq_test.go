@@ -67,27 +67,3 @@ func TestMultiKernelWavefrontParity(t *testing.T) {
 		})
 	}
 }
-
-// TestMultiKernelCalibration checks the wavefront grain calibrates over
-// the combined kernel cost: the measured ns/point covers every kernel
-// of the group, so the derived inline threshold stays within its clamp
-// and the plan reports a positive per-point cost after one run.
-func TestMultiKernelCalibration(t *testing.T) {
-	ip := compileSrc(t, psrc.CoupledGrid)
-	popts := plan.Options{Hyperplane: true}
-	if _, cost := ip.WavefrontGrain("CoupledGrid", popts); cost != 0 {
-		t.Fatalf("plan calibrated before any run: %d ns/point", cost)
-	}
-	// The barrier sweep calibrates from the first inline plane with at
-	// least 8 candidate points (a 2-D doacross pipeline blocks its only
-	// plane coordinate into single-point tiles, which the calibration's
-	// noise guard skips).
-	runCoupled(t, ip, 13, 3, interp.Options{Workers: 2, Schedule: sched.PolicyBarrier})
-	grain, cost := ip.WavefrontGrain("CoupledGrid", popts)
-	if cost <= 0 {
-		t.Fatal("run did not calibrate the combined kernel cost")
-	}
-	if grain < 8 || grain > 4096 {
-		t.Fatalf("calibrated grain %d outside [8, 4096]", grain)
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/depgraph"
@@ -50,12 +49,10 @@ type Options struct {
 	// variant a runner executes — and Explain reports — is deterministic
 	// across hosts.
 	Hyperplane HyperplaneMode
-	// Schedule selects how wavefront steps execute on the pool: the
-	// per-plane barrier sweep, the doacross tile pipeline, or (the zero
-	// value) automatic per-activation selection — doacross when the
-	// plane width per worker is small relative to the measured kernel
-	// cost, where the barrier would dominate. Inert for sequential runs
-	// and plans without wavefront steps.
+	// Schedule selects the predecessor shape of wavefront tiles on the
+	// pool: PolicyBarrier waits on the whole previous plane, every
+	// other policy on the tiles the dependence window reaches. Inert
+	// for sequential runs and plans without wavefront steps.
 	Schedule sched.Policy
 	// Pool, when non-nil, is a shared worker pool used for every DOALL of
 	// the activation tree instead of spawning a pool per activation. The
@@ -314,7 +311,7 @@ type env struct {
 	// worker-state copy of an env resets it — rings are single-writer.
 	ring *obs.Ring
 	// inSpan marks that an enclosing compute span (sequential DOALL,
-	// inline plane, stage-ordered sweep) is already open on ring, so
+	// sequential plane, stage-ordered sweep) is already open on ring, so
 	// nested sequential steps — and nested module calls — must not emit
 	// their own: overlapping spans would double-count the breakdown.
 	inSpan bool
@@ -1039,9 +1036,9 @@ func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
 // wfSpace is the resolved geometry of one wavefront activation: the
 // original iteration box, the interval bounds of every transformed
 // coordinate over it, and the π-term sums used for per-plane
-// tightening of basis coordinates. Both wavefront executors — the
-// barrier sweep and the doacross pipeline — work from the same space,
-// which is why they are bitwise identical.
+// tightening of basis coordinates. The sequential plane loop and the
+// doacross tiles work from the same space, which is why they are
+// bitwise identical.
 type wfSpace struct {
 	st *plan.Step
 	hy *plan.Hyper
@@ -1124,14 +1121,6 @@ func (w *wfSpace) resolve(en *env, st *plan.Step, bodyLo int) bool {
 		w.dcol = append(w.dcol, w.hy.TInv[j][w.row])
 	}
 	return true
-}
-
-// points converts an executed-instance count back into plane points:
-// every in-box point runs all group kernels, so the combined kernel
-// cost per point — what the grain calibration needs, since thresholds
-// are in points per plane — is elapsed / (instances / len(eqis)).
-func (w *wfSpace) points(instances int64) int64 {
-	return instances / int64(len(w.eqis))
 }
 
 // planeBounds computes plane t's coordinate ranges: start from the box
@@ -1272,74 +1261,50 @@ func (p *Program) execPlaneBox(en *env, fr []int64, w *wfSpace, t int64, plo, ph
 	}
 }
 
-// useDoacross decides the wavefront execution strategy for one
-// activation. Forced policies win; auto chooses the doacross pipeline
-// when the average plane width per worker is below the inline-plane
-// threshold — the regime where the barrier sweep either runs most
-// planes inline (serially) or pays a pool dispatch whose fixed cost
-// rivals the plane's kernel work. The threshold is the calibrated
-// wavefront grain, so the auto decision sharpens after the first run
-// measures the kernel cost.
-func (p *Program) useDoacross(en *env, w *wfSpace) bool {
-	if w.hy.Window < 2 || len(w.hy.Pred) == 0 {
-		return false // no cross-plane dependence metadata to pipeline on
-	}
-	switch en.rs.opts.Schedule {
-	case sched.PolicyBarrier:
-		return false
-	case sched.PolicyDoacross:
-		return true
-	}
-	nplanes := w.thi[0] - w.tlo[0] + 1
-	points := int64(1)
-	for j := 0; j < w.n; j++ {
-		points *= w.hi[j] - w.lo[j] + 1
-	}
-	avgWidth := points / nplanes
-	if avgWidth < 1 {
-		avgWidth = 1
-	}
-	grain := en.cp.wavefrontGrain()
-	if en.cp.wfCost.Load() != 0 && avgWidth < grain {
-		// The measured kernel cost says every plane fits under the
-		// inline threshold: the barrier sweep runs the whole nest on the
-		// sweeping goroutine with zero dispatch, which no pipeline can
-		// beat at this width. (Before calibration the default grain is
-		// not evidence, so narrow planes still pipeline below.)
-		return false
-	}
-	return avgWidth < grain*int64(en.rs.pool.Workers())
-}
+// minTilePoints is the least plane work a parallel wavefront tile is
+// sized for: the tile width on the blocked coordinate is widened until
+// a tile covers this many points of the plane box, so a 2-D wavefront
+// (one point per unit of width) gets a few wide tiles while a 3-D one
+// keeps its narrow ones.
+const minTilePoints = 64
 
 // execWavefront runs one §4-restructured nest: hyperplanes t = π·x
-// executed in dependence order, each plane a parallel traversal of the
-// bounding box of the remaining transformed coordinates. Per point the
-// step's baked T⁻¹ recovers the original indices; points whose
-// preimage falls outside the original iteration box are skipped, so
-// exactly the original points execute, each once, with every
-// dependence satisfied (π·d ≥ 1 places a point's inputs on strictly
-// earlier planes, and in-plane points are independent by
-// construction). Parallel activations choose between two strategies:
-// the barrier sweep below (one fork/join per plane) and the doacross
-// tile pipeline of execWavefrontDoacross.
+// executed in dependence order, each plane a traversal of the bounding
+// box of the remaining transformed coordinates. Per point the step's
+// baked T⁻¹ recovers the original indices; points whose preimage falls
+// outside the original iteration box are skipped, so exactly the
+// original points execute, each once, with every dependence satisfied
+// (π·d ≥ 1 places a point's inputs on strictly earlier planes, and
+// in-plane points are independent by construction). Parallel
+// activations run the planes as doacross tiles (execTiles); sequential
+// and 1-worker runs, 1-D nests, nests inside a parallel chunk and nests
+// whose tile grid has a single tile run the plane loop on the calling
+// goroutine with no pool dispatch.
 func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
 	var w wfSpace
 	if !w.resolve(en, st, bodyLo) {
 		return // empty dimension: the nest has no iterations
 	}
-	noPool := rs.pool == nil || en.inParallel || rs.pool.Workers() == 1
-	if !noPool && p.useDoacross(en, &w) {
-		p.execWavefrontDoacross(en, fr, &w)
+	if rs.pool == nil || en.inParallel || rs.pool.Workers() == 1 || w.n == 1 {
+		p.execPlanes(en, fr, &w, false)
 		return
 	}
-	canceled := rs.canceled
-	// Planes too small to amortize a pool dispatch run inline — the
-	// narrow leading and trailing hyperplanes of every sweep. The
-	// threshold starts at the fixed default and is re-read after the
-	// first plane calibrates the measured kernel cost.
-	inline := en.cp.wavefrontGrain()
-	cm := en.cm
+	nest, blk := w.tiling(rs.opts.Schedule, rs.pool.Workers(), rs.opts.Grain)
+	if ntiles, _ := nest.Tiles(); ntiles == 1 {
+		p.execPlanes(en, fr, &w, true)
+		return
+	}
+	p.execTiles(en, fr, &w, nest, blk)
+}
+
+// execPlanes runs the nest's planes in order on the calling goroutine.
+// oneTile marks a parallel activation whose tile grid is a single tile:
+// every plane is then one tile instance, counted (empty planes too, as
+// sched.Run counts them) and traced as such, so RunStats and traces
+// read the same on either side of the inline gate.
+func (p *Program) execPlanes(en *env, fr []int64, w *wfSpace, oneTile bool) {
+	rs := en.rs
 	// Plane spans land on the activation's ring; inside a parallel chunk
 	// (or an already-open sequential span) the enclosing span covers the
 	// work and nothing is emitted here.
@@ -1347,160 +1312,109 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 	if en.inParallel || en.inSpan {
 		ring = nil
 	}
-	var wfLbls pprof.LabelSet
-	if rs.labels {
-		wfLbls = pprof.Labels("ps_module", cm.m.Name,
-			"ps_step", "wavefront", "ps_eqs", eqsLabel(en.cp, w.eqis))
+	kind := obs.KPlane
+	if oneTile {
+		kind = obs.KTile
+		if rs.stats != nil {
+			rs.stats.Doacross.Tiles.Add(w.thi[0] - w.tlo[0] + 1)
+		}
 	}
-
+	canceled := rs.canceled
 	for t := w.tlo[0]; t <= w.thi[0]; t++ {
 		if canceled != nil && canceled.Load() {
 			panic(runtimeError{err: rs.ctx.Err()})
 		}
 		var plo, phi [plan.MaxCollapse]int64
-		planeTotal := w.planeBounds(t, &plo, &phi)
-		if planeTotal == 0 {
+		total := w.planeBounds(t, &plo, &phi)
+		if total == 0 {
 			continue // no candidate points on this hyperplane
 		}
 		if rs.stats != nil {
 			rs.stats.Planes.Add(1)
 		}
-		if noPool || planeTotal < inline {
-			var t0 int64
-			if ring != nil {
-				t0 = ring.Now()
-				en.inSpan = true
-			}
-			if en.cp.wfCost.Load() == 0 && planeTotal >= 8 {
-				// One-shot grain calibration: time this inline plane and
-				// derive the per-plan threshold from its measured kernel
-				// cost (executed points, not box slack).
-				before := en.eqCount
-				start := time.Now()
-				p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
-				if points := w.points(en.eqCount - before); points > 0 {
-					en.cp.noteWavefrontCost(points, time.Since(start))
-					inline = en.cp.wavefrontGrain()
-				}
-			} else {
-				p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
-			}
-			if ring != nil {
-				en.inSpan = false
-				ring.Emit(obs.KPlane, t0, ring.Now()-t0, t, 0)
-			}
-			continue
-		}
-
-		// Parallel plane: chunked exactly like a DOALL, with pooled
-		// worker state; each chunk decomposes its start index once and
-		// walks the plane odometer-style, updating the T⁻¹ preimage
-		// incrementally instead of remapping per point.
-		var panicOnce sync.Once
-		var panicked any
-		work := func(start, end int64) {
-			ws, _ := cm.ws.Get().(*workerState)
-			if ws == nil {
-				ws = &workerState{}
-			}
-			if cap(ws.fr) < len(fr) {
-				ws.fr = make([]int64, len(fr))
-			}
-			wfr := ws.fr[:len(fr)]
-			copy(wfr, fr)
-			ws.en = *en
-			sub := &ws.en
-			sub.inParallel = true
-			sub.ring = nil
-			sub.eqCount = 0
-			sub.specCount = 0
-			var t0 int64
-			if rs.rec != nil {
-				sub.ring = rs.rec.Acquire()
-				t0 = sub.ring.Now()
-			}
-			defer func() {
-				if sub.ring != nil {
-					sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, end-start+1, 1)
-					rs.rec.Release(sub.ring)
-				}
-				if rs.stats != nil {
-					rs.stats.Chunks.Add(1)
-					rs.stats.EqInstances.Add(sub.eqCount)
-					rs.stats.Specialized.Add(sub.specCount)
-				}
-				if r := recover(); r != nil {
-					switch e := r.(type) {
-					case runtimeError:
-						if e.eq == "" {
-							e.eq = sub.eqLabel()
-						}
-						panicOnce.Do(func() { panicked = e })
-					case value.Error:
-						panicOnce.Do(func() { panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-					default:
-						panicOnce.Do(func() { panicked = r })
-					}
-				}
-				cm.ws.Put(ws)
-			}()
-			p.execPlaneBox(sub, wfr, &w, t, &plo, &phi, start, end)
-		}
-		if rs.labels {
-			work = labeled(rs, work, wfLbls)
-		}
 		var t0 int64
 		if ring != nil {
 			t0 = ring.Now()
+			en.inSpan = true
 		}
-		completed := rs.pool.ForRangesOpts(rs.cancelChan(), 0, planeTotal-1, rs.opts.Grain, work)
+		p.execPlaneBox(en, fr, w, t, &plo, &phi, 0, total-1)
 		if ring != nil {
-			// The dispatch span covers the fork/join; member chunks carry
-			// the compute, so Breakdown turns this into barrier idle.
-			ring.Emit(obs.KPlane, t0, ring.Now()-t0, t, 1)
-		}
-		if panicked != nil {
-			panic(panicked)
-		}
-		if !completed {
-			panic(runtimeError{err: rs.ctx.Err()})
+			en.inSpan = false
+			ring.Emit(kind, t0, ring.Now()-t0, t, 0)
 		}
 	}
 }
 
-// execWavefrontDoacross runs a wavefront nest as a doacross pipeline:
-// the widest plane coordinate is blocked into tiles on a fixed global
-// grid, each tile carries an atomic completion counter, and a tile
-// entering plane t waits point-to-point only on the predecessor tiles
-// the plan's dependence window implies (internal/sched) — no per-plane
-// pool barrier, so successive hyperplanes overlap. Tile instances
-// compute the same tightened plane bounds as the barrier sweep and run
-// the same kernels at the same points, so the two schedules are
-// bitwise identical.
-func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
-	rs := en.rs
-	hy := w.hy
-	// Block the plane coordinate with the widest transformed span: more
-	// tiles means a deeper pipeline, and every other coordinate stays
-	// whole within a tile so only one shift table is consulted.
+// tiling blocks the plane coordinate with the widest transformed span
+// (more tiles means a deeper pipeline, and every other coordinate stays
+// whole within a tile so only one shift table is consulted) and
+// returns the doacross nest with that coordinate's index. The tile
+// width is the larger of span/(workers×TilesPerWorker) and the width
+// that gives a tile minTilePoints points of the plane box; a positive
+// grain overrides it. Under PolicyBarrier every tile waits on the whole
+// previous plane — the fork/join sweep as a tile shape; otherwise on
+// the tiles the plan's dependence window reaches.
+func (w *wfSpace) tiling(policy sched.Policy, workers int, grain int64) (sched.Nest, int) {
 	blk := 1
 	for r := 2; r < w.n; r++ {
 		if w.thi[r]-w.tlo[r] > w.thi[blk]-w.tlo[blk] {
 			blk = r
 		}
 	}
+	span := w.thi[blk] - w.tlo[blk] + 1
+	others := int64(1)
+	for r := 1; r < w.n; r++ {
+		if r != blk {
+			others *= w.thi[r] - w.tlo[r] + 1
+		}
+	}
 	nest := sched.Nest{
 		TLo: w.tlo[0], THi: w.thi[0],
 		CoordLo: w.tlo[blk], CoordHi: w.thi[blk],
-		Window:  hy.Window,
-		Preds:   hy.Pred[blk-1],
-		Workers: rs.pool.Workers(),
-		// Options.Grain is the minimum iterations per parallel chunk; for
-		// the doacross schedule the chunk is a tile, so the grain bounds
-		// the tile width on the blocked coordinate (0 keeps the default
-		// span/(workers×TilesPerWorker) blocking).
-		TileWidth: rs.opts.Grain,
+		Window:    w.hy.Window,
+		Preds:     w.hy.Pred[blk-1],
+		Workers:   workers,
+		TileWidth: grain,
 	}
+	if grain <= 0 {
+		_, width := nest.Tiles()
+		nest.TileWidth = max(width, (minTilePoints+others-1)/others)
+	}
+	if policy == sched.PolicyBarrier {
+		nest.Window = 2
+		nest.Preds = []sched.PredRange{{Has: true, Lo: -span, Hi: span}}
+	}
+	return nest, blk
+}
+
+// TileRule describes the tile shape parallel activations give a
+// wavefront nest under these options — tiles per plane × width, points
+// per tile and the predecessor shape — for Runner.Explain. The width
+// depends on the activation's bounds, so the rule is what is reported.
+func TileRule(policy sched.Policy, workers int, grain int64) string {
+	shape := fmt.Sprintf("span/%d per plane × %d wide (grain)", grain, grain)
+	if grain <= 0 {
+		n := workers * sched.TilesPerWorker
+		shape = fmt.Sprintf("≤%d per plane × span/%d wide (%d workers × %d), widened to ≥%d points/tile",
+			n, n, workers, sched.TilesPerWorker, minTilePoints)
+	}
+	preds := "the tiles its dependence window reaches"
+	if policy == sched.PolicyBarrier {
+		preds = "the whole previous plane"
+	}
+	return "wavefront tiles: " + shape + "; a tile waits on " + preds + "; one-tile grids run inline"
+}
+
+// execTiles runs a wavefront nest as a doacross pipeline: the blocked
+// plane coordinate is cut into tiles on a fixed global grid, each tile
+// carries an atomic completion counter, and a tile entering plane t
+// waits point-to-point only on its predecessor tiles (internal/sched) —
+// no per-plane pool barrier, so successive hyperplanes overlap. Tile
+// instances compute the same tightened plane bounds as the sequential
+// plane loop and run the same kernels at the same points, so every
+// schedule is bitwise identical.
+func (p *Program) execTiles(en *env, fr []int64, w *wfSpace, nest sched.Nest, blk int) {
+	rs := en.rs
 	var doStats *sched.Stats
 	if rs.stats != nil {
 		doStats = &rs.stats.Doacross
@@ -1520,7 +1434,7 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		if k == 0 && rs.stats != nil {
 			// Tile 0 exists on every plane, so it counts each non-empty
 			// plane exactly once — keeping WavefrontPlanes comparable
-			// with the barrier schedule.
+			// with the sequential plane loop.
 			rs.stats.Planes.Add(1)
 		}
 		// Clamp the blocked coordinate to this tile's slice.
@@ -1601,18 +1515,6 @@ func (p *Program) execDoacrossTile(en *env, fr []int64, w *wfSpace, t int64, plo
 		}
 		cm.ws.Put(ws)
 	}()
-	// Tiles are narrow by construction, so calibration accepts any
-	// instance with at least two executed points; the threshold it
-	// feeds is clamped, which bounds the effect of timing noise.
-	if en.cp.wfCost.Load() == 0 && total >= 2 {
-		before := sub.eqCount
-		start := time.Now()
-		p.execPlaneBox(sub, wfr, w, t, plo, phi, 0, total-1)
-		if points := w.points(sub.eqCount - before); points > 0 {
-			en.cp.noteWavefrontCost(points, time.Since(start))
-		}
-		return ok
-	}
 	p.execPlaneBox(sub, wfr, w, t, plo, phi, 0, total-1)
 	return ok
 }

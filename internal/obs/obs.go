@@ -37,11 +37,12 @@ const (
 	// chunk's point count; Arg1 is 0 for a plain DOALL chunk, 1 for a
 	// chunk carved out of a wavefront plane.
 	KChunk
-	// KPlane spans one wavefront hyperplane under the barrier schedule.
-	// Arg0 is the plane time t; Arg1 is 0 when the plane ran inline on
+	// KPlane spans one wavefront hyperplane run by the sequential plane
+	// loop. Arg0 is the plane time t; Arg1 is 0 when the plane ran on
 	// the sweeping goroutine, 1 when it was dispatched to the pool (the
 	// span then covers the fork/join, with the member chunks appearing
-	// as KChunk spans on worker rings).
+	// as KChunk spans on worker rings). The interpreter emits only the
+	// former: parallel wavefronts run as KTile instances.
 	KPlane
 	// KTile spans one doacross tile instance. Arg0 is the plane time t;
 	// Arg1 packs the tile index and the steal flag as k<<1 | stolen.

@@ -1,9 +1,8 @@
-// Package sched implements the doacross pipelined executor for §4
-// wavefront nests. The barrier executor (internal/interp's default)
-// sweeps hyperplanes t = π·x one at a time, paying one pool-wide
-// fork/join barrier per plane; for narrow planes — the leading and
-// trailing diagonals of every sweep, and any nest whose plane width per
-// worker is small relative to the kernel cost — that barrier dominates.
+// Package sched implements the doacross pipelined executor that runs
+// every parallel §4 wavefront nest. A barrier sweep over hyperplanes
+// t = π·x pays one pool-wide fork/join per plane; for narrow planes —
+// the leading and trailing diagonals of every sweep — that barrier
+// dominates.
 //
 // The doacross schedule removes it. One plane coordinate is blocked
 // into tiles with a fixed global grid; each tile carries an atomic
@@ -41,12 +40,17 @@
 // computed with two divisions; an instance whose predecessors are done
 // can run even while distant tiles lag many planes behind.
 //
+// The barrier schedule is a degenerate shape of the same table: Window
+// 2 and one PredRange spanning the whole coordinate, so every tile of
+// plane t waits for every tile of plane t-1 (and, transitively, all
+// earlier planes) — a per-plane barrier without a fork/join.
+//
 // # Invariants
 //
 // Every (plane, tile) instance executes exactly once (CAS-claimed), and
 // no instance starts before all its predecessor instances completed —
 // so a wavefront nest executed through Run computes bitwise-identical
-// results to the barrier sweep: same points, same kernels, every
+// results to a sequential plane sweep: same points, same kernels, every
 // cross-plane dependence satisfied point-to-point rather than by a
 // barrier. Cancellation (the caller's abort channel, or the callback
 // returning false) stops further claims and Run reports completion as

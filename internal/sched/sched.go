@@ -13,19 +13,19 @@ import (
 type Policy uint8
 
 const (
-	// PolicyAuto (the default) picks per activation: doacross when the
-	// measured plane width per worker is small relative to the kernel
-	// cost (barrier overhead would dominate), barrier otherwise.
+	// PolicyAuto (the default) runs wavefront tiles with the plan's
+	// dependence-window predecessor shape, as PolicyDoacross does.
 	PolicyAuto Policy = iota
-	// PolicyBarrier always runs the per-plane fork/join sweep.
+	// PolicyBarrier runs wavefront tiles that each wait on the whole
+	// previous plane: a per-plane barrier as a tile shape.
 	PolicyBarrier
-	// PolicyDoacross always runs the pipelined tile schedule.
+	// PolicyDoacross runs wavefront tiles that wait only on the
+	// predecessor tiles the dependence window reaches.
 	PolicyDoacross
 	// PolicyPipeline prefers the PS-DSWP pipeline backend in the plan
 	// cascade: nests with downstream DOALL consumer stages lower as
 	// decoupled pipeline steps even when a wavefront transform would
-	// also apply. Wavefront steps that remain fall back to the auto
-	// barrier/doacross choice.
+	// also apply. Wavefront steps that remain run as under PolicyAuto.
 	PolicyPipeline
 )
 

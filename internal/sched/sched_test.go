@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -341,6 +342,40 @@ func TestPolicy(t *testing.T) {
 	}
 	if Policy(99).String() != "?" {
 		t.Error("unknown policy String")
+	}
+}
+
+// TestFullPlanePredecessor pins the barrier tile shape: with window 2
+// and one PredRange spanning the whole blocked coordinate, no tile
+// starts plane t before every tile has finished plane t-1.
+func TestFullPlanePredecessor(t *testing.T) {
+	const tlo, thi, clo, chi = 3, 40, -3, 60
+	const span = chi - clo + 1
+	for _, workers := range []int{2, 4} {
+		for _, tileW := range []int64{1, 7, 16} {
+			nest := Nest{TLo: tlo, THi: thi, CoordLo: clo, CoordHi: chi, Window: 2,
+				Preds: []PredRange{{Has: true, Lo: -span, Hi: span}}, Workers: workers, TileWidth: tileW}
+			ntiles, _ := nest.Tiles()
+			finished := make([]atomic.Int64, thi-tlo+1)
+			var early atomic.Int64
+			pool := par.NewPool(workers)
+			completed := Run(nest, pool, nil, func(_ int, tt int64, _ int, _, _ int64) bool {
+				if tt > tlo && finished[tt-1-tlo].Load() != int64(ntiles) {
+					early.Add(1)
+				}
+				runtime.Gosched() // widen the window for an early start
+				finished[tt-tlo].Add(1)
+				return true
+			}, nil, nil)
+			pool.Close()
+			if !completed {
+				t.Fatalf("workers=%d tileW=%d: run did not complete", workers, tileW)
+			}
+			if n := early.Load(); n != 0 {
+				t.Errorf("workers=%d tileW=%d: %d tile instances started before the previous plane finished",
+					workers, tileW, n)
+			}
+		}
 	}
 }
 

@@ -175,9 +175,9 @@ func NoSpecialize() RunOption { return func(o *interp.Options) { o.NoSpecialize 
 // imply it.
 func NoArena() RunOption { return func(o *interp.Options) { o.NoArena = true } }
 
-// Grain sets the minimum iterations per parallel chunk; under the
-// doacross wavefront schedule it also sets the tile width on the
-// blocked plane coordinate.
+// Grain sets the minimum iterations per parallel chunk; for wavefront
+// steps it also sets the tile width on the blocked plane coordinate,
+// overriding the default work-sized width.
 func Grain(n int64) RunOption { return func(o *interp.Options) { o.Grain = n } }
 
 // WithProfileLabels tags worker execution with runtime/pprof labels
@@ -197,8 +197,9 @@ type HyperplaneMode = interp.HyperplaneMode
 const (
 	// HyperplaneAuto (the default) analyzes every fully sequential
 	// recurrence nest at compile time and, when a valid time vector
-	// exists, executes it as a wavefront: a sequential sweep over
-	// hyperplanes with each plane run as a DOALL. Sequential runs keep
+	// exists, executes it as a wavefront: hyperplanes in dependence
+	// order, each plane's points independent, run as doacross tiles
+	// (see WithSchedule). Sequential runs keep
 	// the untransformed nest.
 	HyperplaneAuto = interp.HyperplaneAuto
 	// HyperplaneOff always executes the untransformed sequential nests.
@@ -216,35 +217,35 @@ func WithHyperplane(mode HyperplaneMode) RunOption {
 type Schedule = sched.Policy
 
 const (
-	// ScheduleAuto (the default) picks per activation: doacross when
-	// the plane width per worker is small relative to the measured
-	// kernel cost — the regime where the barrier sweep's per-plane
-	// fork/join dominates — and barrier otherwise.
+	// ScheduleAuto (the default) is ScheduleDoacross. Parallel runs
+	// execute every wavefront as doacross tiles; the schedule picks only
+	// which predecessor tiles a tile waits on.
 	ScheduleAuto = sched.PolicyAuto
-	// ScheduleBarrier always sweeps hyperplanes with one pool-wide
-	// fork/join barrier per plane.
+	// ScheduleBarrier makes every tile wait on the whole previous
+	// plane: a per-plane barrier as a tile shape of the doacross
+	// executor, with no pool fork/join.
 	ScheduleBarrier = sched.PolicyBarrier
-	// ScheduleDoacross always runs the pipelined tile schedule: the
-	// plane is blocked into tiles with atomic completion counters, and
-	// workers wait point-to-point only on the predecessor tiles implied
-	// by the dependence window, so successive hyperplanes overlap.
+	// ScheduleDoacross blocks the plane into tiles with atomic
+	// completion counters; a tile waits point-to-point only on the
+	// predecessor tiles implied by the dependence window, so successive
+	// hyperplanes overlap. Tiles are sized from point counts (see
+	// Grain); a nest whose grid is one tile runs its planes inline.
 	ScheduleDoacross = sched.PolicyDoacross
 	// SchedulePipeline reorders the lowering cascade to prefer the
 	// PS-DSWP pipeline backend over the wavefront restructuring:
 	// sequential recurrence nests with downstream DOALL consumers run as
 	// decoupled stages over bounded channels, and only nests the
 	// pipeline recognizer rejects fall back to wavefront analysis.
-	// Wavefront steps that remain execute with automatic per-activation
-	// barrier/doacross selection. Results are bitwise identical to every
+	// Wavefront steps that remain execute as under ScheduleAuto. Results are bitwise identical to every
 	// other schedule.
 	SchedulePipeline = sched.PolicyPipeline
 )
 
-// WithSchedule selects the backend-preference and wavefront execution
-// strategy for a Runner (or, via EngineDefaults, for every Runner of an
-// engine): automatic per-activation selection, barrier, doacross, or
-// pipeline-first lowering. All strategies are bitwise identical; the
-// choice is purely about synchronization cost. Inert for sequential
+// WithSchedule selects the backend preference and the wavefront tile
+// shape for a Runner (or, via EngineDefaults, for every Runner of an
+// engine): auto, barrier, doacross, or pipeline-first lowering. All
+// schedules are bitwise identical; the choice is purely about
+// synchronization cost. Inert for sequential
 // runs and modules with neither wavefront nor pipeline steps.
 func WithSchedule(s Schedule) RunOption {
 	return func(o *interp.Options) { o.Schedule = s }

@@ -126,17 +126,8 @@ func (r *Runner) Explain() string {
 	if planOpts.Hyperplane {
 		sb.WriteString(pl.CascadeReport())
 	}
-	if pl.HasWavefront() && !r.opts.Sequential {
-		// The inline-plane threshold starts at the fixed default and is
-		// calibrated once from the measured kernel cost; after this
-		// runner (or any runner sharing the compiled plan) has run, the
-		// calibration shows up here.
-		grain, cost := r.prog.ip.WavefrontGrain(r.mod.sem.Name, planOpts)
-		if cost > 0 {
-			fmt.Fprintf(&sb, "wavefront grain: %d points/plane (calibrated: %d ns/point)\n", grain, cost)
-		} else {
-			fmt.Fprintf(&sb, "wavefront grain: %d points/plane default (calibrated from measured kernel cost at first run)\n", grain)
-		}
+	if workers := effectiveWorkers(r.opts); pl.HasWavefront() && workers > 1 {
+		fmt.Fprintln(&sb, interp.TileRule(r.opts.Schedule, workers, r.opts.Grain))
 	}
 	for _, ks := range r.prog.ip.Kernels(r.mod.sem.Name, planOpts) {
 		if ks.Specialized {
@@ -214,8 +205,8 @@ type BatchResult struct {
 // test), and the whole batch dispatches to the worker pool as one
 // parallel loop. Results are bitwise identical to len(batch)
 // sequential Run calls — per element, out[i] mirrors Run(ctx,
-// batch[i]) including its typed error — while plan lookup and the
-// one-shot wavefront grain calibration are paid once for the batch.
+// batch[i]) including its typed error — while plan lookup is
+// paid once for the batch.
 // This is the serving layer's execution primitive: N pending requests
 // for one prepared Runner become one activation batch.
 //

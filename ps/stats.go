@@ -25,13 +25,14 @@ type RunStats struct {
 	// chunking. Zero when no wavefront step executed.
 	WavefrontPlanes int64
 	// DoacrossTiles is the number of tile instances executed by the
-	// doacross (pipelined) wavefront schedule — one per tile per
-	// hyperplane. Zero when every wavefront ran the barrier schedule.
+	// doacross wavefront executor — one per tile per hyperplane,
+	// including the one-tile-per-plane instances of a nest the inline
+	// gate runs on the calling goroutine. Zero for sequential and
+	// 1-worker runs.
 	DoacrossTiles int64
 	// DoacrossStalls counts the times a doacross worker found no ready
 	// tile instance and parked until a predecessor completed — the
-	// schedule's residual synchronization cost (a barrier sweep instead
-	// pays workers×planes joins).
+	// schedule's residual synchronization cost.
 	DoacrossStalls int64
 	// DoacrossSteals counts tile instances executed by a worker other
 	// than the tile's home worker: how often work stealing rebalanced

@@ -26,12 +26,12 @@ func seedGrid(n int64) *ps.Array {
 // TestWavefrontStats checks the new RunStats attribution on a module
 // whose recurrence auto-lowers to a wavefront: WavefrontPlanes counts
 // exactly the hyperplanes of the sweep (for Wavefront2D with pi=(1,1)
-// over [0,N+1]² that is 2(N+1)+1 time steps), plane chunks land in
-// DOALLChunks, and the counter stays zero when the transform is off or
-// the run is sequential — so the stats distinguish wavefront work from
-// plain DOALL chunking.
+// over [0,N+1]² that is 2(N+1)+1 time steps), the output DOALL's
+// chunks land in DOALLChunks, and the plane counter stays zero when the
+// transform is off or the run is sequential — so the stats distinguish
+// wavefront work from plain DOALL chunking.
 func TestWavefrontStats(t *testing.T) {
-	const n = 40 // large enough that planes exceed the inline threshold
+	const n = 40
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
 	prog, err := eng.Compile("wf2d.ps", psrc.Wavefront2D)
@@ -86,13 +86,15 @@ func TestWavefrontStats(t *testing.T) {
 	}
 }
 
-// TestDoacrossStats pins the doacross counters on a forced pipelined
-// run: tiles execute (and are attributed to the run), results match the
-// barrier schedule bitwise, and the counters stay zero under the
-// barrier policy and for sequential runs — so RunStats cleanly tells
-// the two wavefront strategies apart.
+// TestDoacrossStats pins the doacross counters on parallel wavefront
+// runs: every schedule policy — barrier included, which is a tile shape
+// of the same executor — executes tiles, counts the same hyperplanes
+// and stays bitwise identical to the sequential reference, while a
+// sequential run reports no tiles. The grid is wide enough (N=150: a
+// 152-point plane coordinate) for more than one 64-point tile per
+// plane, so the runs go through the doacross scheduler.
 func TestDoacrossStats(t *testing.T) {
-	const n = 40
+	const n = 150
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
 	prog, err := eng.Compile("wf2d.ps", psrc.Wavefront2D)
@@ -101,61 +103,52 @@ func TestDoacrossStats(t *testing.T) {
 	}
 	args := []any{seedGrid(n), int64(n)}
 
-	barrier, err := prog.Prepare("Wavefront2D", ps.WithSchedule(ps.ScheduleBarrier))
+	seq, err := prog.Prepare("Wavefront2D", ps.Sequential(), ps.WithSchedule(ps.ScheduleDoacross))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, bStats, err := barrier.Run(context.Background(), args)
+	wantRes, sStats, err := seq.Run(context.Background(), args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bStats.DoacrossTiles != 0 || bStats.DoacrossStalls != 0 || bStats.DoacrossSteals != 0 {
-		t.Errorf("barrier run reports doacross counters: %s", bStats)
+	if sStats.DoacrossTiles != 0 {
+		t.Errorf("sequential run executed doacross tiles: %s", sStats)
 	}
 	want, err := ps.ResultsToJSON(prog, "Wavefront2D", wantRes)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run, err := prog.Prepare("Wavefront2D", ps.WithSchedule(ps.ScheduleDoacross))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, stats, err := run.Run(context.Background(), args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ps.ResultsToJSON(prog, "Wavefront2D", res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("doacross run diverges from the barrier schedule")
-	}
-	if stats.DoacrossTiles == 0 {
-		t.Error("doacross run executed no tiles")
-	}
-	// The sweep still counts hyperplanes: pi=(1,1) over [0,N+1]² has
-	// 2(N+1)+1 non-empty planes regardless of schedule.
-	if want := int64(2*(n+1) + 1); stats.WavefrontPlanes != want {
-		t.Errorf("WavefrontPlanes = %d, want %d", stats.WavefrontPlanes, want)
-	}
-	for _, probe := range []string{"doacross_tiles=", "doacross_stalls=", "doacross_steals="} {
-		if !strings.Contains(stats.String(), probe) {
-			t.Errorf("stats string missing %q: %s", probe, stats)
+	for _, s := range []ps.Schedule{ps.ScheduleBarrier, ps.ScheduleDoacross, ps.ScheduleAuto} {
+		run, err := prog.Prepare("Wavefront2D", ps.WithSchedule(s))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	seq, err := prog.Prepare("Wavefront2D", ps.Sequential(), ps.WithSchedule(ps.ScheduleDoacross))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sStats, err := seq.Run(context.Background(), args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sStats.DoacrossTiles != 0 {
-		t.Errorf("sequential run executed doacross tiles: %s", sStats)
+		res, stats, err := run.Run(context.Background(), args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ps.ResultsToJSON(prog, "Wavefront2D", res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s run diverges from the sequential reference", s)
+		}
+		// pi=(1,1) over [0,N+1]² has 2(N+1)+1 non-empty planes, each
+		// blocked into more than one tile.
+		planes := int64(2*(n+1) + 1)
+		if stats.WavefrontPlanes != planes {
+			t.Errorf("%s: WavefrontPlanes = %d, want %d", s, stats.WavefrontPlanes, planes)
+		}
+		if stats.DoacrossTiles <= planes {
+			t.Errorf("%s: %d tile instances over %d planes, want more than one tile per plane", s, stats.DoacrossTiles, planes)
+		}
+		for _, probe := range []string{"doacross_tiles=", "doacross_stalls=", "doacross_steals="} {
+			if !strings.Contains(stats.String(), probe) {
+				t.Errorf("stats string missing %q: %s", probe, stats)
+			}
+		}
 	}
 }
 
