@@ -1,6 +1,6 @@
 // Package repro benchmarks every experiment artifact of the paper
-// (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
-// recorded results):
+// (docs/PAPER-MAP.md maps each to its code; cmd/psbench records the
+// committed wavefront snapshot in BENCH_wavefront.json):
 //
 //   - BenchmarkFig5_Scheduling: the scheduler itself (component
 //     decomposition + flowchart construction).
@@ -433,23 +433,25 @@ func nativeGSWavefront(in []float64, m, maxK int64, workers int) []float64 {
 		if kLo > kHi {
 			continue
 		}
-		r.For(kLo, kHi, func(k int64) {
-			d := t - 2*k // i+j on this plane
-			iLo, iHi := int64(0), d
-			if d-(m+1) > iLo {
-				iLo = d - (m + 1)
-			}
-			if m+1 < iHi {
-				iHi = m + 1
-			}
-			cur, prev := planes[k], planes[k-1]
-			for i := iLo; i <= iHi; i++ {
-				j := d - i
-				if i == 0 || j == 0 || i == m+1 || j == m+1 {
-					cur[i*n+j] = prev[i*n+j]
-				} else {
-					cur[i*n+j] = (cur[i*n+j-1] + cur[(i-1)*n+j] +
-						prev[i*n+j+1] + prev[(i+1)*n+j]) / 4
+		r.ForRangesOpts(nil, kLo, kHi, 1, func(start, end int64) {
+			for k := start; k <= end; k++ {
+				d := t - 2*k // i+j on this plane
+				iLo, iHi := int64(0), d
+				if d-(m+1) > iLo {
+					iLo = d - (m + 1)
+				}
+				if m+1 < iHi {
+					iHi = m + 1
+				}
+				cur, prev := planes[k], planes[k-1]
+				for i := iLo; i <= iHi; i++ {
+					j := d - i
+					if i == 0 || j == 0 || i == m+1 || j == m+1 {
+						cur[i*n+j] = prev[i*n+j]
+					} else {
+						cur[i*n+j] = (cur[i*n+j-1] + cur[(i-1)*n+j] +
+							prev[i*n+j+1] + prev[(i+1)*n+j]) / 4
+					}
 				}
 			}
 		})

@@ -221,9 +221,10 @@ func main() {
 		// of an anti-diagonal interior with integer-sequence reads.
 		{"edit_distance", psrc.EditDistance, "EditDistance",
 			func() []any { return []any{seedSymbols(192), seedSymbols(224), int64(192), int64(224)} }},
-		// The two pipeline-cascade workloads: reflect decouples under the
-		// auto cascade (its reflected-column read defeats the wavefront),
-		// mutual wavefronts under auto and decouples under PipelinePar.
+		// The two cascade edge cases: reflect's reflected-column read
+		// defeats the wavefront, so its recurrence stays a sequential
+		// DO nest ahead of two DOALLs; mutual wavefronts only after the
+		// re-merge pre-pass rejoins the nests the scheduler split.
 		{"reflect", psrc.Reflect, "Reflect",
 			func() []any { return []any{seedSquare(128), int64(128)} }},
 		{"mutual", psrc.Mutual, "Mutual",
@@ -253,7 +254,6 @@ func main() {
 		{fmt.Sprintf("AutoPar%d", w), []ps.RunOption{ps.Workers(w)}, false},
 		{fmt.Sprintf("BarrierPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.ScheduleBarrier)}, false},
 		{fmt.Sprintf("DoacrossPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.ScheduleDoacross)}, false},
-		{fmt.Sprintf("PipelinePar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.SchedulePipeline)}, false},
 		// TracedAutoPar measures the recording-on cost of the execution
 		// recorder (TraceRun vs the AutoPar baseline). It is recorded
 		// for the trajectory but exempt from the -compare gate: tracing

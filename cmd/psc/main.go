@@ -6,7 +6,7 @@
 //
 //	psc [-module name] [-dump c|flowchart|plan|components|graph|dot|virtual|source]
 //	    [-openmp] [-no-virtual] [-hyperplane auto|off]
-//	    [-schedule auto|barrier|doacross|pipeline] [-transform eq.N] file.ps
+//	    [-schedule auto|barrier|doacross] [-transform eq.N] file.ps
 //
 // Examples:
 //
@@ -33,7 +33,7 @@ func main() {
 	openmp := flag.Bool("openmp", false, "emit #pragma omp parallel for above DOALL loops")
 	noVirtual := flag.Bool("no-virtual", false, "allocate every dimension physically")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "scheduling strategy: auto/barrier (per-plane parallel sweep), doacross (omp ordered/depend pipelining) or pipeline (prefer PS-DSWP stage decoupling in the lowering cascade)")
+	schedule := flag.String("schedule", "auto", "scheduling strategy: auto/barrier (per-plane parallel sweep) or doacross (omp ordered/depend pipelining)")
 	transform := flag.String("transform", "", "apply the §4 hyperplane transformation to the named equation and emit the rewritten PS source")
 	flag.Parse()
 
@@ -52,7 +52,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "psc: %v\n", err)
 		os.Exit(2)
 	}
-	planOpts.Schedule = sch
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: psc [flags] file.ps")

@@ -3,8 +3,8 @@
 // component table, the Figure 6 and Figure 7 flowcharts, the §3.4
 // virtual-dimension report, and the complete §4 hyperplane analysis
 // (inequalities, time vector, transformation, rewritten recurrence,
-// rescheduled flowchart, window). It is the source of record for
-// EXPERIMENTS.md.
+// rescheduled flowchart, window). docs/PAPER-MAP.md maps each artifact
+// to the code that produces it.
 //
 // Usage:
 //

@@ -5,7 +5,7 @@
 //
 //	psrun [-module name] [-workers N] [-seq] [-strict] [-grain N]
 //	      [-fused] [-hyperplane auto|off]
-//	      [-schedule auto|barrier|doacross|pipeline]
+//	      [-schedule auto|barrier|doacross]
 //	      [-timeout d] [-stats] [-trace out.json] [-explain]
 //	      [-in inputs.json] [-cpuprofile f] [-memprofile f] file.ps
 //
@@ -56,7 +56,7 @@ func main() {
 	grain := flag.Int64("grain", 0, "minimum iterations per parallel chunk")
 	fused := flag.Bool("fused", false, "execute the loop-fused plan variant (§5)")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "scheduling strategy: auto, barrier (tiles wait on the whole previous plane), doacross (tiles wait on their dependence window) or pipeline (prefer PS-DSWP decoupled stages over wavefronts)")
+	schedule := flag.String("schedule", "auto", "scheduling strategy: auto, barrier (tiles wait on the whole previous plane), or doacross (tiles wait on their dependence window)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")
 	trace := flag.String("trace", "", "record the run and write Chrome trace-event JSON to this file")

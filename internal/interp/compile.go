@@ -27,19 +27,17 @@ type (
 type kernelFn func(en *env, fr []int64)
 
 // compiledModule is one module ready to run: equation kernels compiled
-// once, the two lowered plan variants, slot-resolved bound thunks, and
+// once, the lowered plan variants, slot-resolved bound thunks, and
 // precomputed allocation descriptors.
 type compiledModule struct {
 	m     *sem.Module
 	sched *core.Schedule
-	// plans holds the lowered variants indexed [fuse][mode], where mode
-	// is 0 = hyperplane off, 1 = the auto cascade, 2 = the
-	// pipeline-first cascade (WithSchedule(SchedulePipeline)). Options
-	// select one at activation time; all are lowered once here, not per
-	// run. Variants that lower identically — a module with no
-	// cascade-eligible nest has equal base and auto plans — share one
-	// compiledPlan.
-	plans [2][3]*compiledPlan
+	// plans holds the lowered variants indexed [fuse][hyper], where
+	// hyper 1 is the auto cascade. Options select one at activation
+	// time; all are lowered once here, not per run. A module with no
+	// wavefront-eligible nest lowers identically with the cascade on,
+	// and its two columns share one compiledPlan.
+	plans [2][2]*compiledPlan
 	// slotOf assigns every subrange type a frame slot for its index
 	// value — the plan's Bounds order, shared by every variant. It is
 	// consulted at compile time only; execution reads slots baked into
@@ -52,29 +50,21 @@ type compiledModule struct {
 	// symIdx numbers all data symbols for the env value table.
 	symIdx map[*sem.Symbol]int
 	syms   []*sem.Symbol
-	// ws pools per-worker execution state reused across DOALL chunks.
+	// ws pools per-worker execution state reused across parallel work
+	// items (DOALL chunks and doacross tiles).
 	ws sync.Pool
 }
 
-// variant selects the compiled plan for one (fuse, mode) pair.
-func (cm *compiledModule) variant(fuse bool, mode int) *compiledPlan {
-	fi := 0
+// variant selects the compiled plan for one (fuse, hyper) pair.
+func (cm *compiledModule) variant(fuse, hyper bool) *compiledPlan {
+	fi, hi := 0, 0
 	if fuse {
 		fi = 1
 	}
-	return cm.plans[fi][mode]
-}
-
-// planMode maps plan options onto the variant mode index: 0 =
-// hyperplane off, 1 = the auto cascade, 2 = the pipeline-first cascade.
-func planMode(o plan.Options) int {
-	switch {
-	case !o.Hyperplane:
-		return 0
-	case o.PipelineFirst:
-		return 2
+	if hyper {
+		hi = 1
 	}
-	return 1
+	return cm.plans[fi][hi]
 }
 
 // compiledPlan pairs one lowered plan variant with its kernel table
@@ -144,8 +134,6 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 	fusedPl := plan.Lower(m, sched, plan.Options{Fuse: true})
 	hyperPl := plan.Lower(m, sched, plan.Options{Hyperplane: true})
 	hyperFusedPl := plan.Lower(m, sched, plan.Options{Fuse: true, Hyperplane: true})
-	pipePl := plan.Lower(m, sched, plan.Options{Hyperplane: true, PipelineFirst: true})
-	pipeFusedPl := plan.Lower(m, sched, plan.Options{Fuse: true, Hyperplane: true, PipelineFirst: true})
 	cm = &compiledModule{
 		m:      m,
 		sched:  sched,
@@ -177,31 +165,18 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 		specs[eq] = c.specializeEquation(eq, kernels[eq])
 		c.eq = nil
 	}
-	cm.plans[0][0] = cm.bindPlan(basePl, kernels, specs)
-	cm.plans[1][0] = cm.bindPlan(fusedPl, kernels, specs)
-	// A module where no cascade backend fires lowers identically with
-	// the cascade on; share the untransformed compiledPlan then. The
-	// pipeline-first mode likewise shares the auto plan unless flipping
-	// the cascade order actually changed the lowering.
-	if hyperPl.HasWavefront() || hyperPl.HasPipeline() {
-		cm.plans[0][1] = cm.bindPlan(hyperPl, kernels, specs)
-	} else {
-		cm.plans[0][1] = cm.plans[0][0]
-	}
-	if hyperFusedPl.HasWavefront() || hyperFusedPl.HasPipeline() {
-		cm.plans[1][1] = cm.bindPlan(hyperFusedPl, kernels, specs)
-	} else {
-		cm.plans[1][1] = cm.plans[1][0]
-	}
-	if pipePl.String() == hyperPl.String() {
-		cm.plans[0][2] = cm.plans[0][1]
-	} else {
-		cm.plans[0][2] = cm.bindPlan(pipePl, kernels, specs)
-	}
-	if pipeFusedPl.String() == hyperFusedPl.String() {
-		cm.plans[1][2] = cm.plans[1][1]
-	} else {
-		cm.plans[1][2] = cm.bindPlan(pipeFusedPl, kernels, specs)
+	// A module where the cascade chooses no wavefront lowers identically
+	// with the cascade on, so both columns share one compiledPlan. It is
+	// bound from the cascade's lowering, whose decisions let Explain say
+	// why each nest stayed sequential.
+	for fi, pls := range [2][2]*plan.Program{{basePl, hyperPl}, {fusedPl, hyperFusedPl}} {
+		if pls[1].HasWavefront() {
+			cm.plans[fi][0] = cm.bindPlan(pls[0], kernels, specs)
+			cm.plans[fi][1] = cm.bindPlan(pls[1], kernels, specs)
+		} else {
+			cm.plans[fi][0] = cm.bindPlan(pls[1], kernels, specs)
+			cm.plans[fi][1] = cm.plans[fi][0]
+		}
 	}
 	return cm, nil
 }

@@ -1,7 +1,9 @@
 package interp_test
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/interp"
@@ -105,5 +107,39 @@ func TestDoacrossAutoNarrowPlanes(t *testing.T) {
 	}
 	if stats.Doacross.Stalls.Load() != 0 || stats.Doacross.Steals.Load() != 0 {
 		t.Error("one-tile run went through the doacross scheduler")
+	}
+}
+
+// TestDoacrossTileFailure checks that a runtime failure raised in many
+// concurrent wavefront tiles surfaces once, as a RunError naming the
+// failing equation, under every schedule.
+func TestDoacrossTileFailure(t *testing.T) {
+	ip := compileSrc(t, `
+Bad: module (N: int): [Out: array [I,J] of int];
+type I,J = 0 .. N;
+var W: array [0 .. N, 0 .. N] of int;
+define
+    W[I,J] = if (I = 0) or (J = 0) then 1
+             else W[I-1,J] + W[I,J-1] + I div (N - N);
+    Out[I,J] = W[I,J];
+end Bad;
+`)
+	for _, policy := range []sched.Policy{sched.PolicyAuto, sched.PolicyBarrier, sched.PolicyDoacross} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var stats interp.Stats
+			// Grain 4 cuts each plane into many tiles, so failures race.
+			opts := interp.Options{Workers: 4, Grain: 4, Schedule: policy, Stats: &stats}
+			_, err := ip.Run("Bad", []any{int64(60)}, opts)
+			var re *interp.RunError
+			if !errors.As(err, &re) || re.Module != "Bad" || re.Equation != "eq.1" {
+				t.Fatalf("err = %v, want a RunError attributed to Bad eq.1", err)
+			}
+			if !strings.Contains(err.Error(), "division by zero") {
+				t.Errorf("err = %v, want division by zero", err)
+			}
+			if stats.Doacross.Tiles.Load() == 0 {
+				t.Error("the failing nest ran no doacross tiles")
+			}
+		})
 	}
 }

@@ -10,7 +10,8 @@
 // A compiled Program is immutable and safe for concurrent Run/RunCtx
 // calls: every activation builds its own environment, and pooled
 // per-worker state (env copies and index frames) is reused across DOALL
-// chunks without sharing mutable state between concurrent activations.
+// chunks and doacross tiles without sharing mutable state between
+// concurrent activations.
 // Cancellation aborts sequential loops within one iteration and
 // in-flight parallel work within one chunk/tile, and Stats counters are
 // valid up to the abort.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/plan"
 	"repro/internal/psrc"
-	"repro/internal/sched"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -25,15 +24,37 @@ func seed(n int64) *value.Array {
 	return a
 }
 
-// TestPipelineParity runs the pipeline-lowered reflect workload across
-// worker counts and toggles, comparing every run bitwise against the
-// sequential reference and checking that the decoupled backend actually
-// engaged (stages launched, same instance count).
+// checkPipelineFirstInert asserts that lowering a module with the
+// retired plan.Options.PipelineFirst (perfbench still sets it) renders
+// the same plan as the auto-hyperplane variant runs execute.
+func checkPipelineFirstInert(t *testing.T, ip *interp.Program, module string) {
+	t.Helper()
+	pf := plan.Lower(ip.Prog.Module(module), ip.Schedule(module), plan.Options{Hyperplane: true, PipelineFirst: true})
+	if got, want := pf.String(), ip.Plan(module, plan.Options{Hyperplane: true}).String(); got != want {
+		t.Errorf("PipelineFirst changed the lowered plan:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestPipelineParity runs reflect — the producer/consumer nest a
+// decoupled pipeline would split into stages — across worker counts and
+// toggles. It lowers to a sequential DO I (DO J) producer followed by
+// two collapsed DOALL consumers and no pipeline step; every run must
+// match the sequential reference bitwise with the same instance count,
+// and the consumers must reach the pool whenever there are workers.
 func TestPipelineParity(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
 	pl := ip.Plan("Reflect", plan.Options{Hyperplane: true})
-	if !pl.HasPipeline() {
-		t.Fatalf("Reflect did not lower to a pipeline plan:\n%s", pl)
+	doall := 0
+	for i := range pl.Steps {
+		switch pl.Steps[i].Op {
+		case plan.OpPipeline, plan.OpWavefront:
+			t.Fatalf("Reflect lowered to a %v step:\n%s", pl.Steps[i].Op, pl)
+		case plan.OpDoAll:
+			doall++
+		}
+	}
+	if doall == 0 {
+		t.Fatalf("Reflect's consumers did not lower to DOALLs:\n%s", pl)
 	}
 	const n = 17
 	args := []any{seed(n), int64(n)}
@@ -43,19 +64,21 @@ func TestPipelineParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		opts    interp.Options
-		coupled bool // expects the concurrent pipeline to engage
+		name          string
+		opts          interp.Options
+		pipelineFirst bool // also checks the retired lowering option is inert
 	}{
-		{"Par2", interp.Options{Workers: 2}, true},
-		{"Par4", interp.Options{Workers: 4}, true},
-		{"Par8", interp.Options{Workers: 8}, true},
-		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, true},
-		{"PipelineFirstPar4", interp.Options{Workers: 4, Schedule: sched.PolicyPipeline}, true},
-		// One worker degenerates to the stage-ordered loop.
+		{"Par2", interp.Options{Workers: 2}, false},
+		{"Par4", interp.Options{Workers: 4}, false},
+		{"Par8", interp.Options{Workers: 8}, false},
+		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, false},
+		{"PipelineFirstPar4", interp.Options{Workers: 4}, true},
 		{"Par1", interp.Options{Workers: 1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.pipelineFirst {
+				checkPipelineFirstInert(t, ip, "Reflect")
+			}
 			var stats interp.Stats
 			tc.opts.Stats = &stats
 			got, err := ip.Run("Reflect", args, tc.opts)
@@ -70,28 +93,21 @@ func TestPipelineParity(t *testing.T) {
 			if got, want := stats.EqInstances.Load(), seqStats.EqInstances.Load(); got != want {
 				t.Errorf("executed %d equation instances, sequential executed %d", got, want)
 			}
-			if engaged := stats.PipelineStages.Load() > 0; engaged != tc.coupled {
-				t.Errorf("pipeline stages = %d, want engaged=%v", stats.PipelineStages.Load(), tc.coupled)
-			}
-			if tc.coupled && stats.PipelineStages.Load() != 3 {
-				t.Errorf("pipeline stages = %d, want 3 (1 producer + 2 consumers)", stats.PipelineStages.Load())
+			if parallel := stats.Chunks.Load() > 0; parallel != (tc.opts.Workers > 1) {
+				t.Errorf("dispatched %d DOALL chunks at %d workers", stats.Chunks.Load(), tc.opts.Workers)
 			}
 		})
 	}
 }
 
-// TestPipelineFirstCascade pins the schedule-driven plan flip: mutual
-// wavefronts under the auto cascade but decouples under PolicyPipeline,
-// and both execute bitwise identically.
+// TestPipelineFirstCascade pins that the retired pipeline-first option
+// no longer flips the cascade: mutual wavefronts with or without it,
+// and every width executes bitwise identically to the sequential run.
 func TestPipelineFirstCascade(t *testing.T) {
 	ip := compileSrc(t, psrc.Mutual)
 	auto := ip.Plan("Mutual", plan.Options{Hyperplane: true})
-	if !auto.HasWavefront() || auto.HasPipeline() {
+	if !auto.HasWavefront() {
 		t.Fatalf("auto cascade did not wavefront the re-merged nest:\n%s", auto)
-	}
-	pf := ip.Plan("Mutual", plan.Options{Hyperplane: true, PipelineFirst: true})
-	if !pf.HasPipeline() || pf.HasWavefront() {
-		t.Fatalf("pipeline-first cascade did not decouple the nest:\n%s", pf)
 	}
 	// Mutual's arrays span [0, N+1]; build a matching seed.
 	const n = 11
@@ -107,14 +123,18 @@ func TestPipelineFirstCascade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		opts interp.Options
+		name          string
+		opts          interp.Options
+		pipelineFirst bool
 	}{
-		{"AutoPar4", interp.Options{Workers: 4}},
-		{"PipelinePar2", interp.Options{Workers: 2, Schedule: sched.PolicyPipeline}},
-		{"PipelinePar4", interp.Options{Workers: 4, Schedule: sched.PolicyPipeline}},
+		{"AutoPar4", interp.Options{Workers: 4}, false},
+		{"PipelinePar2", interp.Options{Workers: 2}, true},
+		{"PipelinePar4", interp.Options{Workers: 4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.pipelineFirst {
+				checkPipelineFirstInert(t, ip, "Mutual")
+			}
 			var stats interp.Stats
 			tc.opts.Stats = &stats
 			got, err := ip.Run("Mutual", args, tc.opts)
@@ -126,18 +146,15 @@ func TestPipelineFirstCascade(t *testing.T) {
 					t.Errorf("result %d diverges from sequential reference", i)
 				}
 			}
-			if tc.opts.Schedule == sched.PolicyPipeline && stats.PipelineStages.Load() == 0 {
-				t.Error("pipeline-first run launched no stages")
-			}
-			if tc.opts.Schedule != sched.PolicyPipeline && stats.PipelineStages.Load() != 0 {
-				t.Error("auto run launched pipeline stages for a wavefront plan")
+			if stats.Planes.Load() == 0 {
+				t.Error("wavefront plan ran no planes")
 			}
 		})
 	}
 }
 
-// TestPipelineCancellation checks a context cancelled mid-run aborts
-// the decoupled pipeline and reports the context error.
+// TestPipelineCancellation checks a context cancelled before the run
+// aborts reflect's producer/consumer plan and reports the context error.
 func TestPipelineCancellation(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/pprof"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/pipe"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sem"
@@ -70,7 +68,7 @@ type Options struct {
 	// baseline).
 	NoArena bool
 	// Trace, when non-nil, records timestamped span events (activation,
-	// chunks, planes, tiles, stages, stalls, ...) on per-worker rings as
+	// chunks, planes, tiles, stalls, ...) on per-worker rings as
 	// the run executes. nil tracing costs one branch per emission site.
 	Trace *obs.Recorder
 	// ProfileLabels wraps dispatched work in runtime/pprof label sets
@@ -97,20 +95,6 @@ func (o *Options) EffectiveHyperplane() bool {
 	return o.Hyperplane == HyperplaneAuto && !o.Sequential
 }
 
-// planMode selects the compiled plan variant column for these options:
-// 0 (restructuring off), 1 (auto cascade) or 2 (pipeline-first cascade,
-// the PolicyPipeline schedule). Sequential runs always take column 0 —
-// the untransformed nests double as the parity reference.
-func (o *Options) planMode() int {
-	if !o.EffectiveHyperplane() {
-		return 0
-	}
-	if o.Schedule == sched.PolicyPipeline {
-		return 2
-	}
-	return 1
-}
-
 // Stats accumulates per-run execution counters. The counters are updated
 // atomically, so one Stats value may observe a run whose DOALLs execute
 // on many workers; nested module calls accumulate into the same Stats.
@@ -125,20 +109,10 @@ type Stats struct {
 	// time step of every §4-restructured nest — so wavefront work stays
 	// distinguishable from plain DOALL chunking.
 	Planes atomic.Int64
-	// Doacross accumulates the pipelined wavefront executor's counters:
-	// tile instances, stalls (parked waits on predecessor tiles) and
-	// steals. All zero when every wavefront ran the barrier schedule.
+	// Doacross accumulates the wavefront tile executor's counters: tile
+	// instances, stalls (parked waits on predecessor tiles) and steals.
+	// All zero when every wavefront ran sequentially.
 	Doacross sched.Stats
-	// PipelineStages counts stages launched by PS-DSWP pipeline steps —
-	// one per stage per decoupled pipeline activation — so pipelined
-	// execution stays distinguishable from DOALL chunking and wavefront
-	// planes. Zero when every pipeline step ran stage-ordered
-	// (sequentially).
-	PipelineStages atomic.Int64
-	// PipelineStalls accumulates the pipeline runtime's blocking waits:
-	// a stage starved on an empty input channel or backpressured on a
-	// full output channel (internal/pipe).
-	PipelineStalls atomic.Int64
 	// Specialized counts equation instances executed through the
 	// branch-free specialized kernel path (a subset of EqInstances);
 	// the remainder ran the checked closure tree.
@@ -244,7 +218,7 @@ func (p *Program) Plan(name string, opts plan.Options) *plan.Program {
 	if cm == nil {
 		return nil
 	}
-	return cm.variant(opts.Fuse, planMode(opts)).pl
+	return cm.variant(opts.Fuse, opts.Hyperplane).pl
 }
 
 // runState is the execution context shared by a root activation and
@@ -310,27 +284,104 @@ type env struct {
 	// chunk) emits trace spans on; nil when tracing is off. Every
 	// worker-state copy of an env resets it — rings are single-writer.
 	ring *obs.Ring
-	// inSpan marks that an enclosing compute span (sequential DOALL,
-	// sequential plane, stage-ordered sweep) is already open on ring, so
-	// nested sequential steps — and nested module calls — must not emit
-	// their own: overlapping spans would double-count the breakdown.
+	// inSpan marks that an enclosing compute span (sequential DOALL or
+	// sequential plane) is already open on ring, so nested sequential
+	// steps — and nested module calls — must not emit their own:
+	// overlapping spans would double-count the breakdown.
 	inSpan bool
 }
 
-// eqLabel resolves the executing equation's label for error reports.
+// eqLabel resolves the executing equation's label for error reports;
+// "" when nothing is executing (or en is nil).
 func (en *env) eqLabel() string {
-	if en.curEq >= 0 {
+	if en != nil && en.curEq >= 0 {
 		return en.cp.pl.Eqs[en.curEq].Label
 	}
 	return ""
 }
 
-// workerState is pooled per-chunk execution state: a private env copy
-// and index frame reused across DOALL dispatches instead of allocated
-// per chunk.
+// classify turns a recovered panic into the runtimeError executors
+// propagate, attributing it to en's executing equation when the failure
+// did not name one. ok is false for anything that is not an evaluation
+// failure (a bug), which must keep unwinding.
+func classify(r any, en *env) (e runtimeError, ok bool) {
+	switch x := r.(type) {
+	case runtimeError:
+		if x.eq == "" {
+			x.eq = en.eqLabel()
+		}
+		return x, true
+	case value.Error:
+		return runtimeError{err: x, eq: en.eqLabel()}, true
+	}
+	return runtimeError{}, false
+}
+
+// workerState is pooled execution state for one parallel work item (a
+// DOALL chunk or a doacross tile): a private env copy and index frame
+// reused across dispatches instead of allocated per item.
 type workerState struct {
 	en env
 	fr []int64
+}
+
+// borrow takes pooled worker state for one work item running en's code
+// at frame fr: the env copy is marked inParallel, its instance counters
+// start at zero and it has no trace ring (rings are single-writer).
+// Pair it with release.
+func (en *env) borrow(fr []int64) *workerState {
+	ws, _ := en.cm.ws.Get().(*workerState)
+	if ws == nil {
+		ws = &workerState{}
+	}
+	if cap(ws.fr) < len(fr) {
+		ws.fr = make([]int64, len(fr))
+	}
+	ws.fr = ws.fr[:len(fr)]
+	copy(ws.fr, fr)
+	ws.en = *en
+	ws.en.inParallel = true
+	ws.en.eqCount = 0
+	ws.en.specCount = 0
+	ws.en.ring = nil
+	return ws
+}
+
+// release flushes the work item's instance counters into the run's
+// stats and returns ws to the pool.
+func (ws *workerState) release() {
+	en := &ws.en
+	if st := en.rs.stats; st != nil {
+		st.EqInstances.Add(en.eqCount)
+		st.Specialized.Add(en.specCount)
+	}
+	en.cm.ws.Put(ws)
+}
+
+// panicSink holds the first failure raised by any work item of one
+// parallel region, so the region can re-raise it on the caller once
+// every worker has stopped.
+type panicSink struct {
+	once sync.Once
+	v    any
+}
+
+// catch is deferred by a work item running on en: it recovers a panic,
+// classifies it and records it if it is the region's first.
+func (s *panicSink) catch(en *env) {
+	if r := recover(); r != nil {
+		if e, ok := classify(r, en); ok {
+			r = e
+		}
+		s.once.Do(func() { s.v = r })
+	}
+}
+
+// raise re-panics the recorded failure, if any, on the region's caller.
+func (s *panicSink) raise() {
+	if s.v != nil {
+		panic(s.v)
+	}
 }
 
 // Run executes the named module with the given arguments. Scalar
@@ -404,9 +455,9 @@ func (p *Program) newRunState(ctx context.Context, opts Options) (*runState, fun
 }
 
 // runModule executes one activation. covered marks a nested call whose
-// caller is already inside a traced compute span (a worker chunk, tile,
-// stage body or sequential span): the activation then emits no spans of
-// its own — the enclosing span accounts its time.
+// caller is already inside a traced compute span (a worker chunk, tile
+// or sequential span): the activation then emits no spans of its own —
+// the enclosing span accounts its time.
 func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inParallel, covered bool) (results []any, err error) {
 	var en *env
 	defer func() {
@@ -424,21 +475,11 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 			}
 		}
 		if r := recover(); r != nil {
-			curEq := ""
-			if en != nil {
-				curEq = en.eqLabel()
-			}
-			switch e := r.(type) {
-			case runtimeError:
-				if e.eq == "" {
-					e.eq = curEq
-				}
-				err = &RunError{Module: cm.m.Name, Equation: e.eq, Err: e.err}
-			case value.Error:
-				err = &RunError{Module: cm.m.Name, Equation: curEq, Err: e}
-			default:
+			e, ok := classify(r, en)
+			if !ok {
 				panic(r)
 			}
+			err = &RunError{Module: cm.m.Name, Equation: e.eq, Err: e.err}
 		}
 	}()
 	m := cm.m
@@ -451,7 +492,7 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 	opts := rs.opts
 	en = &env{
 		cm:         cm,
-		cp:         cm.variant(opts.Fuse, opts.planMode()),
+		cp:         cm.variant(opts.Fuse, opts.EffectiveHyperplane()),
 		scalars:    make([]any, len(cm.syms)),
 		arrays:     make([]*value.Array, len(cm.syms)),
 		rs:         rs,
@@ -642,9 +683,6 @@ func (p *Program) execSteps(en *env, fr []int64, lo, hi int) {
 		case plan.OpWavefront:
 			p.execWavefront(en, fr, st, i+1)
 			i = st.End
-		case plan.OpPipeline:
-			p.execPipeline(en, fr, st)
-			i = st.End
 		default: // plan.OpDoAll
 			p.execDoAll(en, fr, st, i+1)
 			i = st.End
@@ -742,58 +780,22 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	// Panics (runtime failures in workers) are captured once and
 	// re-raised on the caller; the pool stops claiming chunks when the
 	// run's context fires.
-	var panicOnce sync.Once
-	var panicked any
+	var sink panicSink
 	cm := en.cm
 	leaf := st.Leaf
 	work := func(start, end int64) {
-		ws, _ := cm.ws.Get().(*workerState)
-		if ws == nil {
-			ws = &workerState{}
+		ws := en.borrow(fr)
+		defer ws.release()
+		sub, wfr := &ws.en, ws.fr
+		defer sink.catch(sub)
+		if rs.stats != nil {
+			rs.stats.Chunks.Add(1)
 		}
-		if cap(ws.fr) < len(fr) {
-			ws.fr = make([]int64, len(fr))
-		}
-		wfr := ws.fr[:len(fr)]
-		copy(wfr, fr)
-		ws.en = *en
-		sub := &ws.en
-		sub.inParallel = true
-		sub.eqCount = 0
-		sub.specCount = 0
-		// The env copy aliased the caller's ring; a chunk emits on its
-		// own exclusively-owned ring (or none).
-		sub.ring = nil
-		var t0 int64
 		if rs.rec != nil {
+			// A chunk emits on its own exclusively-owned ring.
 			sub.ring = rs.rec.Acquire()
-			t0 = sub.ring.Now()
+			defer sub.endChunk(sub.ring.Now(), end-start+1)
 		}
-		defer func() {
-			if rs.stats != nil {
-				rs.stats.Chunks.Add(1)
-				rs.stats.EqInstances.Add(sub.eqCount)
-				rs.stats.Specialized.Add(sub.specCount)
-			}
-			if sub.ring != nil {
-				sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, end-start+1, 0)
-				rs.rec.Release(sub.ring)
-			}
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case runtimeError:
-					if e.eq == "" {
-						e.eq = sub.eqLabel()
-					}
-					panicOnce.Do(func() { panicked = e })
-				case value.Error:
-					panicOnce.Do(func() { panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-				default:
-					panicOnce.Do(func() { panicked = r })
-				}
-			}
-			cm.ws.Put(ws)
-		}()
 		rem := start
 		for d := ndim - 1; d >= 0; d-- {
 			n := hib[d] - lob[d] + 1
@@ -840,12 +842,17 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 			"ps_module", cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, bodyHi)))
 	}
 	completed := rs.pool.ForRangesOpts(rs.cancelChan(), 0, total-1, rs.opts.Grain, work)
-	if panicked != nil {
-		panic(panicked)
-	}
+	sink.raise()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
 	}
+}
+
+// endChunk closes a DOALL chunk's span, begun at t0 and covering n
+// points, on the worker's own ring and hands the ring back.
+func (en *env) endChunk(t0, n int64) {
+	en.ring.Emit(obs.KChunk, t0, en.ring.Now()-t0, n, 0)
+	en.rs.rec.Release(en.ring)
 }
 
 // labeled wraps a chunk function in a pprof label set so CPU samples
@@ -883,154 +890,6 @@ func eqsLabel(cp *compiledPlan, eqis []int) string {
 		sb.WriteString(cp.pl.Eqs[eqi].Label)
 	}
 	return sb.String()
-}
-
-// errPipelineAbort is the sentinel a pipeline stage body returns after
-// recording a panic; only the recorded panic is reported.
-var errPipelineAbort = errors.New("interp: pipeline stage failed")
-
-// execPipeline runs one PS-DSWP decoupled step: the streamed
-// dimension's iterations are tokens flowing through the stage DAG of
-// st.Pipe over bounded channels (internal/pipe). The sequential
-// producer stage processes every token in ascending order on one
-// goroutine; parallel consumer stages replicate across the worker
-// count. Stage bodies execute the same kernels at the same frames as
-// the untransformed plan — a stage runs token t only after every
-// upstream stage finished it, which satisfies all cross-stage reads —
-// so results are bitwise identical to the sequential reference.
-// Sequential activations (and nested-parallel ones) degenerate to
-// running the stages in order, which is exactly the original loop
-// sequence the stages were carved from.
-func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
-	rs := en.rs
-	pi := st.Pipe
-	slot := pi.Stream
-	b := en.bounds[slot]
-	tokens := b[1] - b[0] + 1
-	if tokens <= 0 {
-		return
-	}
-	if rs.pool == nil || en.inParallel || rs.pool.Workers() == 1 || tokens == 1 {
-		canceled := rs.canceled
-		ring := en.ring
-		if en.inParallel || en.inSpan {
-			ring = nil // the enclosing span already covers this work
-		}
-		for k := range pi.Stages {
-			sg := &pi.Stages[k]
-			var t0 int64
-			if ring != nil {
-				t0 = ring.Now()
-				en.inSpan = true
-			}
-			for v := b[0]; v <= b[1]; v++ {
-				if canceled != nil && canceled.Load() {
-					panic(runtimeError{err: rs.ctx.Err()})
-				}
-				fr[slot] = v
-				p.execSteps(en, fr, sg.First, sg.End)
-			}
-			if ring != nil {
-				// One span per stage-ordered sweep; token -1 marks the
-				// degenerate (sequential) execution of all tokens.
-				en.inSpan = false
-				ring.Emit(obs.KStage, t0, ring.Now()-t0, int64(k), -1)
-			}
-		}
-		return
-	}
-
-	if rs.stats != nil {
-		rs.stats.PipelineStages.Add(int64(len(pi.Stages)))
-	}
-	stages := make([]pipe.Stage, len(pi.Stages))
-	for k, sg := range pi.Stages {
-		deps := make([]pipe.Dep, len(sg.Deps))
-		for di, d := range sg.Deps {
-			deps[di] = pipe.Dep{Stage: d.Stage, Window: int(d.Dist) + 1}
-		}
-		stages[k] = pipe.Stage{Parallel: sg.Parallel, Deps: deps}
-	}
-
-	// Every body invocation borrows pooled worker state (env + frame)
-	// like a DOALL chunk: one token is a full sweep of the stage's
-	// remaining dimensions, so the pool round-trip amortizes. Panics are
-	// recorded once and re-raised after every stage goroutine stopped.
-	var panicOnce sync.Once
-	var panicked any
-	cm := en.cm
-	var stageLbls []pprof.LabelSet
-	if rs.labels {
-		stageLbls = make([]pprof.LabelSet, len(pi.Stages))
-		for k, sg := range pi.Stages {
-			stageLbls[k] = pprof.Labels("ps_module", cm.m.Name,
-				"ps_step", "pipeline", "ps_eqs", stepEqs(en.cp, sg.First, sg.End))
-		}
-	}
-	var pstats pipe.Stats
-	err := pipe.Run(stages, tokens, rs.pool.Workers(), rs.cancelChan(), func(stage, _ int, token int64) (err error) {
-		ws, _ := cm.ws.Get().(*workerState)
-		if ws == nil {
-			ws = &workerState{}
-		}
-		if cap(ws.fr) < len(fr) {
-			ws.fr = make([]int64, len(fr))
-		}
-		wfr := ws.fr[:len(fr)]
-		copy(wfr, fr)
-		ws.en = *en
-		sub := &ws.en
-		sub.inParallel = true
-		sub.ring = nil // pipe.Run records the stage span on its own ring
-		sub.eqCount = 0
-		sub.specCount = 0
-		defer func() {
-			if rs.stats != nil {
-				rs.stats.EqInstances.Add(sub.eqCount)
-				rs.stats.Specialized.Add(sub.specCount)
-			}
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case runtimeError:
-					if e.eq == "" {
-						e.eq = sub.eqLabel()
-					}
-					panicOnce.Do(func() { panicked = e })
-				case value.Error:
-					panicOnce.Do(func() { panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-				default:
-					panicOnce.Do(func() { panicked = r })
-				}
-				err = errPipelineAbort
-			}
-			cm.ws.Put(ws)
-		}()
-		sg := &pi.Stages[stage]
-		wfr[slot] = b[0] + token
-		if stageLbls != nil {
-			pprof.Do(rs.ctx, stageLbls[stage], func(context.Context) {
-				p.execSteps(sub, wfr, sg.First, sg.End)
-			})
-		} else {
-			p.execSteps(sub, wfr, sg.First, sg.End)
-		}
-		return nil
-	}, &pstats, rs.rec)
-	if rs.stats != nil {
-		rs.stats.PipelineStalls.Add(pstats.Stalls.Load())
-	}
-	if panicked != nil {
-		panic(panicked)
-	}
-	if err != nil {
-		// Only cancellation reaches here: body failures travel through
-		// the recorded panic above.
-		cerr := rs.ctx.Err()
-		if cerr == nil {
-			cerr = err
-		}
-		panic(runtimeError{err: cerr})
-	}
 }
 
 // wfSpace is the resolved geometry of one wavefront activation: the
@@ -1419,8 +1278,7 @@ func (p *Program) execTiles(en *env, fr []int64, w *wfSpace, nest sched.Nest, bl
 	if rs.stats != nil {
 		doStats = &rs.stats.Doacross
 	}
-	var panicOnce sync.Once
-	var panicked any
+	var sink panicSink
 	canceled := rs.canceled
 	body := func(_ int, t int64, k int, blo, bhi int64) bool {
 		// Most tile instances of a narrow plane are empty (the tile grid
@@ -1451,7 +1309,7 @@ func (p *Program) execTiles(en *env, fr []int64, w *wfSpace, nest sched.Nest, bl
 		for r := 1; r < w.n; r++ {
 			total *= phi[r] - plo[r] + 1
 		}
-		ok := p.execDoacrossTile(en, fr, w, t, &plo, &phi, total, &panicOnce, &panicked)
+		ok := p.execDoacrossTile(en, fr, w, t, &plo, &phi, total, &sink)
 		return ok && !(canceled != nil && canceled.Load())
 	}
 	if rs.labels {
@@ -1464,59 +1322,22 @@ func (p *Program) execTiles(en *env, fr []int64, w *wfSpace, nest sched.Nest, bl
 		}
 	}
 	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, doStats, rs.rec)
-	if panicked != nil {
-		panic(panicked)
-	}
+	sink.raise()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
 	}
 }
 
 // execDoacrossTile runs one non-empty tile instance on pooled worker
-// state, capturing runtime failures the way DOALL chunks do; false
-// means a panic was recorded and the run must abort.
-func (p *Program) execDoacrossTile(en *env, fr []int64, w *wfSpace, t int64, plo, phi *[plan.MaxCollapse]int64, total int64, panicOnce *sync.Once, panicked *any) (ok bool) {
-	rs := en.rs
-	cm := en.cm
-	ws, _ := cm.ws.Get().(*workerState)
-	if ws == nil {
-		ws = &workerState{}
-	}
-	if cap(ws.fr) < len(fr) {
-		ws.fr = make([]int64, len(fr))
-	}
-	wfr := ws.fr[:len(fr)]
-	copy(wfr, fr)
-	ws.en = *en
-	sub := &ws.en
-	sub.inParallel = true
-	sub.ring = nil // sched.Run records the tile span on its own ring
-	sub.eqCount = 0
-	sub.specCount = 0
-	ok = true
-	defer func() {
-		if rs.stats != nil {
-			rs.stats.EqInstances.Add(sub.eqCount)
-			rs.stats.Specialized.Add(sub.specCount)
-		}
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case runtimeError:
-				if e.eq == "" {
-					e.eq = sub.eqLabel()
-				}
-				panicOnce.Do(func() { *panicked = e })
-			case value.Error:
-				panicOnce.Do(func() { *panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-			default:
-				panicOnce.Do(func() { *panicked = r })
-			}
-			ok = false // stop scheduling; the panic re-raises after Run
-		}
-		cm.ws.Put(ws)
-	}()
-	p.execPlaneBox(sub, wfr, w, t, plo, phi, 0, total-1)
-	return ok
+// state, capturing runtime failures into sink the way DOALL chunks do;
+// false means a panic was recorded and the run must abort. sched.Run
+// records the tile span on its own ring.
+func (p *Program) execDoacrossTile(en *env, fr []int64, w *wfSpace, t int64, plo, phi *[plan.MaxCollapse]int64, total int64, sink *panicSink) (ok bool) {
+	ws := en.borrow(fr)
+	defer ws.release()
+	defer sink.catch(&ws.en)
+	p.execPlaneBox(&ws.en, ws.fr, w, t, plo, phi, 0, total-1)
+	return true
 }
 
 // ceilDiv and floorDiv divide with rounding toward +∞/−∞; b must be

@@ -27,7 +27,7 @@ func wavefrontSpace(t *testing.T, src, module string, hi int64) *wfSpace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := ip.mods[ip.Prog.Module(module)].variant(false, planMode(plan.Options{Hyperplane: true}))
+	cp := ip.mods[ip.Prog.Module(module)].variant(false, true)
 	for i := range cp.pl.Steps {
 		st := &cp.pl.Steps[i]
 		if st.Op != plan.OpWavefront {

@@ -8,12 +8,12 @@ import (
 
 // Breakdown is the aggregated timing of one traced run: where the
 // workers' time went, split by schedule and by cost class (compute vs.
-// the residual synchronization each schedule pays). All durations are
-// nanoseconds summed across workers, so the per-worker identity is
+// the doacross stalls). All durations are nanoseconds summed across
+// workers, so the per-worker identity is
 //
-//	ComputeNs + StallNs() + BarrierIdleNs + IdleNs = Workers × WallNs
+//	ComputeNs + DoacrossStallNs + IdleNs = Workers × WallNs
 //
-// whenever the clamp notes below don't fire.
+// whenever the idle clamp does not fire.
 type Breakdown struct {
 	// Workers is the worker count the run was configured with; WallNs
 	// the activation's elapsed wall time. Both are supplied by the
@@ -22,30 +22,23 @@ type Breakdown struct {
 	WallNs  int64
 
 	// ComputeNs sums the executors' working spans: sequential DOALL
-	// steps, parallel chunks (plain and wavefront), inline planes,
-	// doacross tiles and pipeline stage bodies.
+	// steps, parallel chunks, inline planes and doacross tiles.
 	ComputeNs int64
 	// Per-schedule slices of ComputeNs.
-	DOALLNs     int64 // sequential DOALL steps + plain chunks
-	WavefrontNs int64 // inline planes + plane chunks (barrier schedule)
+	DOALLNs     int64 // sequential DOALL steps + chunks
+	WavefrontNs int64 // inline planes
 	DoacrossNs  int64 // tile instances
-	PipelineNs  int64 // stage body invocations
 	// StolenNs is the subset of DoacrossNs run by non-home workers.
 	StolenNs int64
 
-	// DoacrossStallNs sums parked doacross waits; PipelineStallNs sums
-	// blocking channel waits of pipeline stages.
+	// DoacrossStallNs sums parked doacross waits.
 	DoacrossStallNs int64
+	// PipelineStallNs is kept for perfbench; removed with its metric in the next benchmark change.
 	PipelineStallNs int64
-	// BarrierIdleNs estimates the fork/join slack of dispatched
-	// wavefront planes: workers × the planes' dispatch spans, minus the
-	// compute the member chunks actually did (clamped at zero). Inline
-	// planes contribute nothing — they have no join.
+	// BarrierIdleNs is kept for perfbench; removed with its metric in the next benchmark change.
 	BarrierIdleNs int64
 	// IdleNs is the unattributed remainder, workers × wall minus
-	// everything above, clamped at zero (pipeline runs can oversubscribe
-	// — replicas + the sequential stage can exceed the worker count — in
-	// which case compute legitimately exceeds workers × wall).
+	// compute and stalls, clamped at zero.
 	IdleNs int64
 
 	// SpecFallbacks counts points that fell back from a specialized
@@ -61,9 +54,6 @@ type Breakdown struct {
 	Dropped int64
 }
 
-// StallNs is the run's total attributed synchronization time.
-func (b *Breakdown) StallNs() int64 { return b.DoacrossStallNs + b.PipelineStallNs }
-
 // Breakdown aggregates the recorded events. workers is the run's
 // configured worker count, wall its elapsed time; both come from the
 // caller since the recorder only sees spans. Call it only after the
@@ -73,29 +63,13 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 		workers = 1
 	}
 	b := Breakdown{Workers: workers, WallNs: wall.Nanoseconds(), Events: r.Events(), Dropped: r.Dropped()}
-	var planeDispatchNs, planeChunkNs int64
 	for _, evs := range r.Snapshot() {
 		for _, ev := range evs {
 			switch ev.Kind {
-			case KDoAll:
+			case KDoAll, KChunk:
 				b.DOALLNs += ev.Dur
-			case KChunk:
-				if ev.Arg1 != 0 {
-					b.WavefrontNs += ev.Dur
-					planeChunkNs += ev.Dur
-				} else {
-					b.DOALLNs += ev.Dur
-				}
 			case KPlane:
-				if ev.Arg1 != 0 {
-					// Dispatched plane: the span covers the fork/join on
-					// the sweeping goroutine; the compute is counted by
-					// the member KChunk spans, so this only feeds the
-					// barrier-idle estimate.
-					planeDispatchNs += ev.Dur
-				} else {
-					b.WavefrontNs += ev.Dur
-				}
+				b.WavefrontNs += ev.Dur
 			case KTile:
 				b.DoacrossNs += ev.Dur
 				if ev.Arg1&1 != 0 {
@@ -103,10 +77,6 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 				}
 			case KTileWait:
 				b.DoacrossStallNs += ev.Dur
-			case KStage:
-				b.PipelineNs += ev.Dur
-			case KStageStall:
-				b.PipelineStallNs += ev.Dur
 			case KSpecFallback:
 				b.SpecFallbacks += ev.Arg1
 			case KArenaReuse:
@@ -114,11 +84,8 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 			}
 		}
 	}
-	b.ComputeNs = b.DOALLNs + b.WavefrontNs + b.DoacrossNs + b.PipelineNs
-	if idle := int64(workers)*planeDispatchNs - planeChunkNs; idle > 0 {
-		b.BarrierIdleNs = idle
-	}
-	if idle := int64(workers)*b.WallNs - b.ComputeNs - b.StallNs() - b.BarrierIdleNs; idle > 0 {
+	b.ComputeNs = b.DOALLNs + b.WavefrontNs + b.DoacrossNs
+	if idle := int64(workers)*b.WallNs - b.ComputeNs - b.DoacrossStallNs; idle > 0 {
 		b.IdleNs = idle
 	}
 	return b
@@ -129,12 +96,10 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 func (b *Breakdown) String() string {
 	d := func(ns int64) time.Duration { return time.Duration(ns) }
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "wall=%v workers=%d compute=%v stall=%v barrier_idle=%v idle=%v",
-		d(b.WallNs), b.Workers, d(b.ComputeNs), d(b.StallNs()), d(b.BarrierIdleNs), d(b.IdleNs))
-	fmt.Fprintf(&sb, "\n  compute: doall=%v wavefront=%v doacross=%v (stolen=%v) pipeline=%v",
-		d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs), d(b.PipelineNs))
-	fmt.Fprintf(&sb, "\n  stalls: doacross=%v pipeline=%v; spec_fallback_points=%d arena_reuses=%d events=%d",
-		d(b.DoacrossStallNs), d(b.PipelineStallNs), b.SpecFallbacks, b.ArenaReuses, b.Events)
+	fmt.Fprintf(&sb, "wall=%v workers=%d compute=%v stall=%v idle=%v",
+		d(b.WallNs), b.Workers, d(b.ComputeNs), d(b.DoacrossStallNs), d(b.IdleNs))
+	fmt.Fprintf(&sb, "\n  compute: doall=%v wavefront=%v doacross=%v (stolen=%v); spec_fallback_points=%d arena_reuses=%d events=%d",
+		d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs), b.SpecFallbacks, b.ArenaReuses, b.Events)
 	if b.Dropped > 0 {
 		fmt.Fprintf(&sb, " dropped=%d", b.Dropped)
 	}

@@ -2,8 +2,7 @@
 // Runner.TraceRun: per-goroutine, cache-padded ring buffers of
 // timestamped span events emitted from the executors' hot paths
 // (activations, DOALL chunks, wavefront planes, doacross tiles and
-// waits, pipeline stages and stalls, specialization fallbacks, arena
-// reuses).
+// waits, specialization fallbacks, arena reuses).
 //
 // The design optimizes for the disabled case and the single-writer
 // case. Disabled tracing is a nil check on the executor's ring pointer
@@ -33,16 +32,12 @@ const (
 	// KDoAll spans one sequentially executed DOALL step on the
 	// activation goroutine. Arg0 is the collapsed point count.
 	KDoAll
-	// KChunk spans one parallel chunk on a pool worker. Arg0 is the
-	// chunk's point count; Arg1 is 0 for a plain DOALL chunk, 1 for a
-	// chunk carved out of a wavefront plane.
+	// KChunk spans one parallel DOALL chunk on a pool worker. Arg0 is
+	// the chunk's point count.
 	KChunk
 	// KPlane spans one wavefront hyperplane run by the sequential plane
-	// loop. Arg0 is the plane time t; Arg1 is 0 when the plane ran on
-	// the sweeping goroutine, 1 when it was dispatched to the pool (the
-	// span then covers the fork/join, with the member chunks appearing
-	// as KChunk spans on worker rings). The interpreter emits only the
-	// former: parallel wavefronts run as KTile instances.
+	// loop on the sweeping goroutine. Arg0 is the plane time t.
+	// Parallel wavefronts run as KTile instances instead.
 	KPlane
 	// KTile spans one doacross tile instance. Arg0 is the plane time t;
 	// Arg1 packs the tile index and the steal flag as k<<1 | stolen.
@@ -50,13 +45,6 @@ const (
 	// KTileWait spans one parked wait of a doacross worker: no tile was
 	// ready and the worker blocked until a completion woke it.
 	KTileWait
-	// KStage spans one pipeline stage body invocation (one token
-	// through one stage). Arg0 is the stage index, Arg1 the token.
-	KStage
-	// KStageStall spans one blocking pipeline wait. Arg0 is the stage
-	// index; Arg1 is 0 for a starved receive, 1 for a backpressured
-	// send.
-	KStageStall
 	// KSpecFallback is an instant event: a specialized span kernel fell
 	// back to the generic evaluator for its un-certified prefix/suffix
 	// points. Arg0 is the equation index, Arg1 the fallback point count.

@@ -136,7 +136,6 @@ func TestKindStringAndInstant(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KActivation: "activation", KDoAll: "doall", KChunk: "chunk",
 		KPlane: "plane", KTile: "tile", KTileWait: "tile-wait",
-		KStage: "stage", KStageStall: "stage-stall",
 		KSpecFallback: "spec-fallback", KArenaReuse: "arena-reuse",
 	} {
 		if got := k.String(); got != want {
@@ -155,15 +154,11 @@ func TestBreakdownAggregation(t *testing.T) {
 	r := NewRecorder(64)
 	g := r.Acquire()
 	g.Emit(KDoAll, 0, 100, 10, 0)       // sequential DOALL: DOALL compute
-	g.Emit(KChunk, 100, 50, 5, 0)       // plain chunk: DOALL compute
-	g.Emit(KChunk, 150, 30, 3, 1)       // wavefront chunk
+	g.Emit(KChunk, 100, 50, 5, 0)       // chunk: DOALL compute
 	g.Emit(KPlane, 180, 40, 1, 0)       // inline plane: wavefront compute
-	g.Emit(KPlane, 220, 90, 2, 1)       // dispatched plane: barrier-idle input
 	g.Emit(KTile, 310, 60, 3, 4<<1|1)   // stolen tile
 	g.Emit(KTile, 370, 40, 3, 5<<1)     // home tile
 	g.Emit(KTileWait, 410, 25, 0, 0)    // doacross stall
-	g.Emit(KStage, 435, 80, 0, 7)       // pipeline body
-	g.Emit(KStageStall, 515, 15, 0, 1)  // pipeline stall
 	g.Emit(KSpecFallback, 530, 0, 2, 9) // 9 fallback points of eq 2
 	g.Emit(KArenaReuse, 530, 0, 1, 0)
 	r.Release(g)
@@ -173,37 +168,30 @@ func TestBreakdownAggregation(t *testing.T) {
 	if b.DOALLNs != 150 {
 		t.Errorf("DOALLNs = %d, want 150", b.DOALLNs)
 	}
-	if b.WavefrontNs != 70 {
-		t.Errorf("WavefrontNs = %d, want 70 (chunk 30 + inline plane 40)", b.WavefrontNs)
+	if b.WavefrontNs != 40 {
+		t.Errorf("WavefrontNs = %d, want 40", b.WavefrontNs)
 	}
 	if b.DoacrossNs != 100 || b.StolenNs != 60 {
 		t.Errorf("DoacrossNs = %d StolenNs = %d, want 100, 60", b.DoacrossNs, b.StolenNs)
 	}
-	if b.PipelineNs != 80 {
-		t.Errorf("PipelineNs = %d, want 80", b.PipelineNs)
+	if b.ComputeNs != 150+40+100 {
+		t.Errorf("ComputeNs = %d, want %d", b.ComputeNs, 150+40+100)
 	}
-	if b.ComputeNs != 150+70+100+80 {
-		t.Errorf("ComputeNs = %d, want %d", b.ComputeNs, 150+70+100+80)
+	if b.DoacrossStallNs != 25 {
+		t.Errorf("DoacrossStallNs = %d, want 25", b.DoacrossStallNs)
 	}
-	if b.DoacrossStallNs != 25 || b.PipelineStallNs != 15 || b.StallNs() != 40 {
-		t.Errorf("stalls = %d/%d, want 25/15", b.DoacrossStallNs, b.PipelineStallNs)
-	}
-	// Dispatched plane 90ns × 2 workers minus the 30ns wavefront chunk.
-	if b.BarrierIdleNs != 2*90-30 {
-		t.Errorf("BarrierIdleNs = %d, want %d", b.BarrierIdleNs, 2*90-30)
-	}
-	wantIdle := int64(workers)*1000 - b.ComputeNs - b.StallNs() - b.BarrierIdleNs
+	wantIdle := int64(workers)*1000 - b.ComputeNs - b.DoacrossStallNs
 	if b.IdleNs != wantIdle {
 		t.Errorf("IdleNs = %d, want %d", b.IdleNs, wantIdle)
 	}
 	if b.SpecFallbacks != 9 || b.ArenaReuses != 1 {
 		t.Errorf("SpecFallbacks = %d ArenaReuses = %d, want 9, 1", b.SpecFallbacks, b.ArenaReuses)
 	}
-	if b.Events != 12 || b.Dropped != 0 {
-		t.Errorf("Events = %d Dropped = %d, want 12, 0", b.Events, b.Dropped)
+	if b.Events != 8 || b.Dropped != 0 {
+		t.Errorf("Events = %d Dropped = %d, want 8, 0", b.Events, b.Dropped)
 	}
 	s := b.String()
-	for _, want := range []string{"wall=1µs", "workers=2", "compute=400ns", "stall=40ns", "stolen=60ns", "spec_fallback_points=9"} {
+	for _, want := range []string{"wall=1µs", "workers=2", "compute=290ns", "stall=25ns", "stolen=60ns", "spec_fallback_points=9"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in %q", want, s)
 		}
@@ -214,11 +202,12 @@ func TestBreakdownAggregation(t *testing.T) {
 }
 
 func TestBreakdownIdleClamp(t *testing.T) {
-	// Pipeline replicas can oversubscribe workers: compute beyond
-	// workers × wall must clamp idle at zero, not go negative.
+	// Spans are timed on the workers' clocks, not against the caller's
+	// wall: compute beyond workers × wall must clamp idle at zero, not
+	// go negative.
 	r := NewRecorder(8)
 	g := r.Acquire()
-	g.Emit(KStage, 0, 5000, 0, 0)
+	g.Emit(KChunk, 0, 5000, 0, 0)
 	r.Release(g)
 	b := r.Breakdown(1, time.Microsecond) // wall 1000ns < compute 5000ns
 	if b.IdleNs != 0 {
@@ -268,13 +257,12 @@ func TestWriteChrome(t *testing.T) {
 	r := NewRecorder(16)
 	g0 := r.Acquire()
 	g0.Emit(KActivation, 0, 2000, 0, 0)
-	g0.Emit(KPlane, 100, 500, 3, 1)
+	g0.Emit(KPlane, 100, 500, 3, 0)
 	g0.Emit(KSpecFallback, 700, 0, 2, 11)
 	r.Release(g0)
 	g1 := r.Acquire() // reuses ring 0; acquire a second concurrently
 	g2 := r.Acquire()
 	g2.Emit(KTile, 1000, 250, 4, 9<<1|1)
-	g2.Emit(KStageStall, 1300, 40, 1, 0)
 	r.Release(g1)
 	r.Release(g2)
 
@@ -303,7 +291,7 @@ func TestWriteChrome(t *testing.T) {
 				t.Errorf("activation span = %+v (want X, ts 0, dur 2µs)", ev)
 			}
 		case "plane":
-			if ev.Args["t"] != 3.0 || ev.Args["dispatched"] != 1.0 {
+			if ev.Args["t"] != 3.0 || len(ev.Args) != 1 {
 				t.Errorf("plane args = %v", ev.Args)
 			}
 		case "tile":
@@ -319,10 +307,6 @@ func TestWriteChrome(t *testing.T) {
 			}
 			if ev.Args["eq"] != 2.0 || ev.Args["points"] != 11.0 {
 				t.Errorf("spec-fallback args = %v", ev.Args)
-			}
-		case "stage-stall":
-			if ev.Args["stage"] != 1.0 || ev.Args["send"] != 0.0 {
-				t.Errorf("stage-stall args = %v", ev.Args)
 			}
 		}
 	}

@@ -1,135 +1,11 @@
 // Package par is the parallel loop runtime executing the scheduler's
-// DOALL descriptors: a chunked parallel-for over goroutine workers. It
-// plays the role the target MIMD machine's loop scheduler played for the
-// paper's generated C.
+// DOALL descriptors: a persistent pool running chunked parallel-for
+// loops over goroutine workers. It plays the role the target MIMD
+// machine's loop scheduler played for the paper's generated C.
 package par
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
-// DefaultWorkers is the worker count used when a Runner is created with
+// DefaultWorkers is the worker count used when a Pool is created with
 // workers <= 0.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Runner executes parallel loops on a fixed number of workers.
-// The zero value runs with DefaultWorkers.
-type Runner struct {
-	Workers int
-	// Grain is the minimum number of iterations per chunk (default 1).
-	// Larger grains amortize dispatch overhead for cheap loop bodies.
-	Grain int64
-}
-
-// New returns a Runner with the given worker count (<=0 means all CPUs).
-func New(workers int) *Runner { return &Runner{Workers: workers} }
-
-func (r *Runner) workers() int {
-	if r == nil || r.Workers <= 0 {
-		return DefaultWorkers()
-	}
-	return r.Workers
-}
-
-func (r *Runner) grain() int64 {
-	if r == nil || r.Grain <= 0 {
-		return 1
-	}
-	return r.Grain
-}
-
-// For executes body(i) for every i in [lo, hi] (inclusive), distributing
-// chunks over the workers. body must be safe for concurrent invocation on
-// distinct i. For small trip counts or one worker it degrades to a plain
-// loop.
-func (r *Runner) For(lo, hi int64, body func(i int64)) {
-	n := hi - lo + 1
-	if n <= 0 {
-		return
-	}
-	w := r.workers()
-	if w == 1 || n == 1 {
-		for i := lo; i <= hi; i++ {
-			body(i)
-		}
-		return
-	}
-	// Chunk size balances load (several chunks per worker) against
-	// dispatch overhead (respecting the grain).
-	chunk := n / int64(w*4)
-	if g := r.grain(); chunk < g {
-		chunk = g
-	}
-	var next atomic.Int64
-	next.Store(lo)
-	var wg sync.WaitGroup
-	nw := w
-	if int64(nw) > (n+chunk-1)/chunk {
-		nw = int((n + chunk - 1) / chunk)
-	}
-	wg.Add(nw)
-	for g := 0; g < nw; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := next.Add(chunk) - chunk
-				if start > hi {
-					return
-				}
-				end := start + chunk - 1
-				if end > hi {
-					end = hi
-				}
-				for i := start; i <= end; i++ {
-					body(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForRanges is For with a range-based body, letting callers hoist
-// per-chunk state (e.g. index frames) out of the element loop.
-func (r *Runner) ForRanges(lo, hi int64, body func(start, end int64)) {
-	n := hi - lo + 1
-	if n <= 0 {
-		return
-	}
-	w := r.workers()
-	if w == 1 || n == 1 {
-		body(lo, hi)
-		return
-	}
-	chunk := n / int64(w*4)
-	if g := r.grain(); chunk < g {
-		chunk = g
-	}
-	var next atomic.Int64
-	next.Store(lo)
-	var wg sync.WaitGroup
-	nw := w
-	if int64(nw) > (n+chunk-1)/chunk {
-		nw = int((n + chunk - 1) / chunk)
-	}
-	wg.Add(nw)
-	for g := 0; g < nw; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := next.Add(chunk) - chunk
-				if start > hi {
-					return
-				}
-				end := start + chunk - 1
-				if end > hi {
-					end = hi
-				}
-				body(start, end)
-			}
-		}()
-	}
-	wg.Wait()
-}

@@ -8,62 +8,27 @@ import (
 	"repro/internal/par"
 )
 
-// TestRunnerForCoverage verifies that every index is visited exactly once
-// across worker counts and ranges.
-func TestRunnerForCoverage(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int64{0, 1, 2, 7, 100, 1023} {
-			r := par.New(workers)
-			counts := make([]atomic.Int32, n+1)
-			r.For(0, n-1, func(i int64) { counts[i].Add(1) })
-			for i := int64(0); i < n; i++ {
-				if c := counts[i].Load(); c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
-				}
-			}
-		}
-	}
-}
-
-// TestRunnerEmptyRange verifies lo > hi is a no-op.
-func TestRunnerEmptyRange(t *testing.T) {
-	r := par.New(4)
-	called := atomic.Int32{}
-	r.For(5, 4, func(i int64) { called.Add(1) })
-	if called.Load() != 0 {
-		t.Error("body called on empty range")
-	}
-}
-
-// TestRunnerForRanges verifies chunked dispatch covers the range with
-// disjoint, ordered chunks.
-func TestRunnerForRanges(t *testing.T) {
-	r := par.New(4)
-	var mask [512]atomic.Int32
-	r.ForRanges(0, 511, func(start, end int64) {
-		if start > end {
-			t.Error("inverted chunk")
-		}
+// forEach runs body(i) for every i in [lo, hi] on the pool with the
+// given grain, reporting whether the loop completed.
+func forEach(p *par.Pool, lo, hi, grain int64, body func(i int64)) bool {
+	return p.ForRangesOpts(nil, lo, hi, grain, func(start, end int64) {
 		for i := start; i <= end; i++ {
-			mask[i].Add(1)
+			body(i)
 		}
 	})
-	for i := range mask {
-		if mask[i].Load() != 1 {
-			t.Fatalf("index %d covered %d times", i, mask[i].Load())
-		}
-	}
 }
 
 // TestPoolCoverage verifies the persistent pool across many reuses —
-// the wavefront dispatch pattern.
+// the wavefront dispatch pattern — including empty ranges.
 func TestPoolCoverage(t *testing.T) {
 	p := par.NewPool(4)
 	defer p.Close()
 	for round := 0; round < 200; round++ {
-		n := int64(round%17 + 1)
+		n := int64(round % 17)
 		counts := make([]atomic.Int32, n)
-		p.For(0, n-1, func(i int64) { counts[i].Add(1) })
+		if !forEach(p, 0, n-1, 0, func(i int64) { counts[i].Add(1) }) {
+			t.Fatalf("round %d: loop reported cancelled", round)
+		}
 		for i := int64(0); i < n; i++ {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("round %d: index %d visited %d times", round, i, c)
@@ -77,7 +42,7 @@ func TestPoolSingleWorker(t *testing.T) {
 	p := par.NewPool(1)
 	defer p.Close()
 	sum := int64(0) // no atomics needed: single worker runs inline
-	p.For(1, 100, func(i int64) { sum += i })
+	forEach(p, 1, 100, 0, func(i int64) { sum += i })
 	if sum != 5050 {
 		t.Errorf("sum = %d, want 5050", sum)
 	}
@@ -87,9 +52,8 @@ func TestPoolSingleWorker(t *testing.T) {
 func TestPoolGrain(t *testing.T) {
 	p := par.NewPool(3)
 	defer p.Close()
-	p.SetGrain(64)
 	var count atomic.Int64
-	p.For(0, 999, func(i int64) { count.Add(1) })
+	forEach(p, 0, 999, 64, func(i int64) { count.Add(1) })
 	if count.Load() != 1000 {
 		t.Errorf("visited %d, want 1000", count.Load())
 	}
@@ -105,12 +69,13 @@ func TestPoolCloseIdempotent(t *testing.T) {
 // TestForProperty is a property test: arbitrary ranges sum correctly
 // under parallel execution.
 func TestForProperty(t *testing.T) {
-	r := par.New(0)
+	p := par.NewPool(0)
+	defer p.Close()
 	f := func(loRaw int16, span uint16) bool {
 		lo := int64(loRaw)
 		hi := lo + int64(span%2000)
 		var sum atomic.Int64
-		r.For(lo, hi, func(i int64) { sum.Add(i) })
+		forEach(p, lo, hi, 0, func(i int64) { sum.Add(i) })
 		n := hi - lo + 1
 		want := n * (lo + hi) / 2
 		return sum.Load() == want
@@ -120,15 +85,15 @@ func TestForProperty(t *testing.T) {
 	}
 }
 
-// TestDefaultWorkers sanity-checks the default.
+// TestDefaultWorkers sanity-checks the default and that a pool created
+// with workers <= 0 uses it.
 func TestDefaultWorkers(t *testing.T) {
 	if par.DefaultWorkers() < 1 {
 		t.Error("DefaultWorkers < 1")
 	}
-	var r *par.Runner // nil runner uses defaults
-	var sum atomic.Int64
-	r.For(1, 10, func(i int64) { sum.Add(i) })
-	if sum.Load() != 55 {
-		t.Errorf("nil runner sum %d", sum.Load())
+	p := par.NewPool(0)
+	defer p.Close()
+	if p.Workers() != par.DefaultWorkers() {
+		t.Errorf("NewPool(0).Workers() = %d, want %d", p.Workers(), par.DefaultWorkers())
 	}
 }

@@ -28,13 +28,7 @@ const (
 	// (DOALL) traversal of each plane, with the T⁻¹ remap back to the
 	// original index frame baked into the step (see Hyper).
 	OpWavefront
-	// OpPipeline is a PS-DSWP decoupled software pipeline: a fully
-	// sequential producer nest and the downstream DOALL nests that
-	// consume its outputs at the same or earlier iterations of the
-	// nest's outer dimension, partitioned into stages that stream that
-	// dimension's iterations ("tokens") through bounded channels. The
-	// sequential stage keeps one goroutine; parallel stages replicate.
-	// See Pipe.
+	// OpPipeline is kept for perfbench; removed with its metric in the next benchmark change.
 	OpPipeline
 )
 
@@ -49,8 +43,6 @@ func (o Op) String() string {
 		return "doall"
 	case OpWavefront:
 		return "wavefront"
-	case OpPipeline:
-		return "pipeline"
 	}
 	return "?"
 }
@@ -84,52 +76,6 @@ type Step struct {
 	// Hyper carries the §4 restructuring data for OpWavefront steps; nil
 	// for every other op.
 	Hyper *Hyper
-	// Pipe carries the stage partition for OpPipeline steps; nil for
-	// every other op.
-	Pipe *Pipe
-}
-
-// Pipe is the stage partition of one OpPipeline step. The dependence
-// SCC DAG of the region — the producer nest plus its downstream DOALL
-// consumers — is grouped into stages; the streamed dimension's
-// iterations are the pipeline tokens, and every cross-stage dependence
-// reaches only the same or earlier tokens, so a stage may start token t
-// as soon as each upstream stage has finished token t (the backward
-// distances in Deps relax that to t - Dist).
-type Pipe struct {
-	// Stream is the frame slot of the streamed (outer sequential)
-	// dimension.
-	Stream int
-	// Window is 1 + the largest backward token distance any cross-stage
-	// dependence carries — the channel capacity bound, playing the role
-	// Hyper.Window plays for wavefronts.
-	Window int
-	// Stages partitions the step's body: stage k's body is
-	// Steps[Stages[k].First:Stages[k].End], executed once per token with
-	// the stream slot pinned.
-	Stages []PipeStage
-}
-
-// PipeStage is one pipeline stage.
-type PipeStage struct {
-	// First, End bound the stage's body steps.
-	First, End int
-	// Parallel marks a DOALL-able stage the runtime replicates
-	// PS-DSWP-style; the sequential producer stage (always stage 0) gets
-	// exactly one goroutine.
-	Parallel bool
-	// Deps lists the upstream stages whose outputs this stage reads,
-	// with the largest backward distance along the streamed dimension:
-	// token t of this stage needs token t - Dist … t of stage Stage.
-	Deps []PipeDep
-}
-
-// PipeDep is one cross-stage dependence.
-type PipeDep struct {
-	Stage int
-	// Dist is the largest backward distance along the streamed
-	// dimension (0 = same token).
-	Dist int64
 }
 
 // Hyper is the hyperplane restructuring of one sequential loop nest
@@ -252,7 +198,7 @@ type Program struct {
 
 // Rejection records why one cascade backend declined a nest.
 type Rejection struct {
-	Backend string // "doall", "wavefront", "pipeline"
+	Backend string // "doall", "wavefront"
 	Reason  string
 }
 
@@ -264,11 +210,10 @@ type Decision struct {
 	Step int
 	// Nest names the nest's dimensions, outermost first.
 	Nest string
-	// Choice is the winning backend: "doall", "wavefront", "pipeline"
-	// or "sequential".
+	// Choice is the winning backend: "doall", "wavefront" or
+	// "sequential".
 	Choice string
-	// Detail is backend-specific: the chosen π for wavefronts, the
-	// stage split for pipelines.
+	// Detail is backend-specific: the chosen π for wavefronts.
 	Detail string
 	// Merged marks a nest the re-merge pre-pass rebuilt from sibling
 	// nests the scheduler had split.
@@ -283,7 +228,7 @@ type Decision struct {
 //
 //	cascade:
 //	  step 0: nest I, J -> doall
-//	  step 4: nest I -> pipeline (3 stages: 1 seq + 2 par, window 1)
+//	  step 4: nest I -> sequential
 //	          doall rejected: 2 loop-carried dependence edge(s)
 //	          wavefront rejected: hyperplane: ...
 func (p *Program) CascadeReport() string {
@@ -334,16 +279,12 @@ type Options struct {
 	// Fuse applies §5 loop fusion to the flowchart before lowering.
 	Fuse bool
 	// Hyperplane runs the scheduler selection cascade: each nest tries
-	// DOALL first, then the automatic §4 wavefront restructuring, then
-	// the PS-DSWP pipeline backend, and falls back to a sequential DO
-	// nest only when every backend declines. It also enables the
-	// re-merge pre-pass rejoining sibling nests whose unioned
-	// dependence vectors admit a π.
+	// DOALL first, then the automatic §4 wavefront restructuring, and
+	// falls back to a sequential DO nest when both decline. It also
+	// enables the re-merge pre-pass rejoining sibling nests whose
+	// unioned dependence vectors admit a π.
 	Hyperplane bool
-	// PipelineFirst flips the cascade's tie-break to prefer the
-	// pipeline backend over the wavefront transform (the
-	// WithSchedule(SchedulePipeline) variant). Meaningless without
-	// Hyperplane.
+	// PipelineFirst is kept for perfbench; removed with its metric in the next benchmark change.
 	PipelineFirst bool
 }
 
@@ -378,16 +319,6 @@ func (p *Program) HasWavefront() bool {
 	return false
 }
 
-// HasPipeline reports whether the plan contains a PS-DSWP pipeline step.
-func (p *Program) HasPipeline() bool {
-	for i := range p.Steps {
-		if p.Steps[i].Op == OpPipeline {
-			return true
-		}
-	}
-	return false
-}
-
 // lowerer carries lowering state for one Lower call.
 type lowerer struct {
 	p      *Program
@@ -399,17 +330,15 @@ type lowerer struct {
 }
 
 func (lw *lowerer) lower(fc core.Flowchart) {
-	for i := 0; i < len(fc); i++ {
-		switch x := fc[i].(type) {
+	for _, d := range fc {
+		switch x := d.(type) {
 		case *core.NodeDesc:
 			if x.Node.Eq != nil {
 				lw.p.Steps = append(lw.p.Steps, Step{Op: OpEq, Eq: lw.kernel(x.Node.Eq)})
 			}
 		case *core.LoopDesc:
 			if lw.opts.Hyperplane {
-				// The cascade may absorb downstream siblings into a
-				// pipeline step.
-				i += lw.lowerCascade(fc, i) - 1
+				lw.lowerCascade(x)
 			} else {
 				lw.lowerLoop(x)
 			}
@@ -480,13 +409,10 @@ func (lw *lowerer) tryRemerge(l *core.LoopDesc) (*core.LoopDesc, bool) {
 	return cand, true
 }
 
-// lowerCascade lowers the loop at fc[i] through the backend selection
-// cascade — DOALL, then wavefront, then pipeline (the last two swap
-// under Options.PipelineFirst) — records the Decision, and returns how
-// many region descriptors it consumed (a pipeline absorbs the
-// downstream sibling nests it stages).
-func (lw *lowerer) lowerCascade(fc core.Flowchart, i int) int {
-	l := fc[i].(*core.LoopDesc)
+// lowerCascade lowers l through the backend selection cascade —
+// DOALL, then wavefront, then a sequential DO nest — and records the
+// Decision.
+func (lw *lowerer) lowerCascade(l *core.LoopDesc) {
 	step := len(lw.p.Steps)
 	if l.Parallel {
 		lw.lowerLoop(l)
@@ -495,58 +421,25 @@ func (lw *lowerer) lowerCascade(fc core.Flowchart, i int) int {
 			Nest:   lw.p.dimNames(&lw.p.Steps[step]),
 			Choice: "doall",
 		})
-		return 1
+		return
 	}
 	d := Decision{Step: step, Nest: l.Subrange.Name, Merged: lw.merged[l]}
 	d.Rejections = append(d.Rejections, Rejection{"doall", doallReason(l)})
-	consumed := 0
-	try := func(backend string) bool {
-		switch backend {
-		case "wavefront":
-			an, eqs, err := lw.wavefrontAnalysis(l)
-			if err != nil {
-				d.Rejections = append(d.Rejections, Rejection{"wavefront", err.Error()})
-				return false
-			}
-			lw.emitWavefront(an, eqs)
-			names := make([]string, len(an.Dims))
-			for k, dim := range an.Dims {
-				names[k] = dim.Name
-			}
-			d.Nest = strings.Join(names, ", ")
-			d.Choice = "wavefront"
-			d.Detail = fmt.Sprintf("pi = %s, window %d", vecString(an.Pi), an.Window)
-			consumed = 1
-			return true
-		case "pipeline":
-			pp, reason := lw.tryPipeline(fc, i)
-			if pp == nil {
-				d.Rejections = append(d.Rejections, Rejection{"pipeline", reason})
-				return false
-			}
-			lw.emitPipeline(l, pp)
-			d.Choice = "pipeline"
-			d.Detail = fmt.Sprintf("%d stages: 1 seq + %d par, window %d, stream %s",
-				1+len(pp.consumers), len(pp.consumers), pp.window, l.Subrange.Name)
-			consumed = 1 + len(pp.consumers)
-			return true
+	if an, eqs, err := lw.wavefrontAnalysis(l); err != nil {
+		d.Rejections = append(d.Rejections, Rejection{"wavefront", err.Error()})
+		lw.lowerLoop(l)
+		d.Choice = "sequential"
+	} else {
+		lw.emitWavefront(an, eqs)
+		names := make([]string, len(an.Dims))
+		for k, dim := range an.Dims {
+			names[k] = dim.Name
 		}
-		return false
+		d.Nest = strings.Join(names, ", ")
+		d.Choice = "wavefront"
+		d.Detail = fmt.Sprintf("pi = %s, window %d", vecString(an.Pi), an.Window)
 	}
-	order := []string{"wavefront", "pipeline"}
-	if lw.opts.PipelineFirst {
-		order = []string{"pipeline", "wavefront"}
-	}
-	for _, b := range order {
-		if try(b) {
-			lw.p.Cascade = append(lw.p.Cascade, d)
-			return consumed
-		}
-	}
-	lw.lowerLoop(l)
-	d.Choice = "sequential"
 	lw.p.Cascade = append(lw.p.Cascade, d)
-	return 1
 }
 
 // doallReason explains why a sequential loop cannot be a DOALL.
@@ -792,9 +685,6 @@ func (p *Program) String() string {
 	if p.HasWavefront() {
 		variant += ", auto-hyperplane"
 	}
-	if p.HasPipeline() {
-		variant += ", pipelined"
-	}
 	fmt.Fprintf(&sb, "plan %s (%d steps, %d slots%s)\n", p.Module, len(p.Steps), len(p.Bounds), variant)
 	for i, b := range p.Bounds {
 		fmt.Fprintf(&sb, "  bound %s = %s .. %s [slot %d]\n",
@@ -850,35 +740,6 @@ func (p *Program) String() string {
 			}
 			sb.WriteByte('\n')
 			depth = append(depth, st.End)
-		case OpPipeline:
-			pp := st.Pipe
-			npar := 0
-			for _, sg := range pp.Stages {
-				if sg.Parallel {
-					npar++
-				}
-			}
-			fmt.Fprintf(&sb, "pipeline %s  stages %d (%d seq + %d par), window %d\n",
-				p.Bounds[pp.Stream].Subrange.Name, len(pp.Stages), len(pp.Stages)-npar, npar, pp.Window)
-			// The stage table: which body steps each stage owns and
-			// which upstream stages (with backward token distance) gate
-			// its tokens.
-			pad := strings.Repeat("    ", len(depth))
-			for k, sg := range pp.Stages {
-				kind := "seq"
-				if sg.Parallel {
-					kind = "par"
-				}
-				fmt.Fprintf(&sb, "      %sstage %d: %s steps %d..%d", pad, k, kind, sg.First, sg.End-1)
-				for di, dep := range sg.Deps {
-					if di == 0 {
-						sb.WriteString("  after")
-					}
-					fmt.Fprintf(&sb, " s%d+%d", dep.Stage, dep.Dist)
-				}
-				sb.WriteByte('\n')
-			}
-			depth = append(depth, st.End)
 		}
 	}
 	return sb.String()
@@ -901,16 +762,6 @@ func (p *Program) compactRange(lo, hi int) (string, int) {
 		case OpEq:
 			parts = append(parts, p.Eqs[st.Eq].Label)
 			i++
-		case OpPipeline:
-			// Stage bodies joined by "|" — the decoupled stages of one
-			// PS-DSWP step.
-			stages := make([]string, len(st.Pipe.Stages))
-			for k, sg := range st.Pipe.Stages {
-				stages[k], _ = p.compactRange(sg.First, sg.End)
-			}
-			parts = append(parts, fmt.Sprintf("PIPELINE[%s] (%s)",
-				p.Bounds[st.Pipe.Stream].Subrange.Name, strings.Join(stages, " | ")))
-			i = st.End
 		default:
 			kw := "DO"
 			switch st.Op {

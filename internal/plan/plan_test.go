@@ -375,21 +375,21 @@ end Reflect;
 	if p.HasWavefront() {
 		t.Errorf("non-constant-offset group was transformed:\n%s", p)
 	}
-	// Wavefront-ineligible is no longer sequential: the cascade falls
-	// through to the PS-DSWP pipeline backend, which decouples the
-	// recurrence nest from its downstream DOALL consumers.
-	if !p.HasPipeline() {
-		t.Errorf("wavefront-ineligible nest with DOALL consumers did not pipeline:\n%s", p)
+	// The cascade keeps the recurrence a sequential DO nest and records
+	// why the wavefront declined; its consumers stay collapsed DOALLs.
+	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"
+	if got := p.Compact(); got != want {
+		t.Errorf("compact cascade plan = %q, want %q", got, want)
 	}
-	if got, want := p.Compact(), "PIPELINE[I] (DO J (eq.2; eq.1) | DOALL J (eq.3) | DOALL J (eq.4))"; got != want {
-		t.Errorf("compact pipeline plan = %q, want %q", got, want)
+	if r := p.CascadeReport(); !strings.Contains(r, "nest I -> sequential") || !strings.Contains(r, "wavefront rejected:") {
+		t.Errorf("cascade report does not record the wavefront rejection:\n%s", r)
 	}
-	// With the cascade disabled the nest keeps its sequential DO chain.
+	// With the cascade disabled the nest lowers the same way.
 	base := lower(t, reflectSrc, "Reflect", plan.Options{})
-	if base.HasWavefront() || base.HasPipeline() {
+	if base.HasWavefront() {
 		t.Errorf("base plan restructured:\n%s", base)
 	}
-	if got, want := base.Compact(), "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"; got != want {
+	if got := base.Compact(); got != want {
 		t.Errorf("compact base plan = %q, want %q", got, want)
 	}
 }

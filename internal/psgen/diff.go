@@ -48,8 +48,8 @@ func (f Finding) String() string {
 type Outcome struct {
 	Spec Spec
 	// Backends marks cascade backends this program's lowering reached:
-	// "doall", "wavefront", "multi-wavefront", "pipeline",
-	// "sequential-reject", plus the runtime-observed "doacross".
+	// "doall", "wavefront", "multi-wavefront", "sequential-reject",
+	// plus the runtime-observed "doacross".
 	Backends map[string]bool
 	// SpecFallback reports that a non-strict parallel run executed at
 	// least one equation instance on the generic checked kernel.
@@ -83,7 +83,6 @@ func matrix(quick bool) []variant {
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 			{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
 			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}, doacross: true},
-			{name: "w2-pipeline", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
 			{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 			{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
 		}
@@ -99,7 +98,6 @@ func matrix(quick bool) []variant {
 		{name: "w2-barrier", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleBarrier)}, planes: true},
 		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}, planes: true, doacross: true},
 		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.ScheduleDoacross)}, planes: true, doacross: true},
-		{name: "w2-pipeline", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
 		{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), ps.NoSpecialize()}, strict: true},
 		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), ps.NoArena()}},
@@ -108,7 +106,6 @@ func matrix(quick bool) []variant {
 		{name: "seq-traced", opts: []ps.RunOption{ps.Sequential()}, traced: true},
 		{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
 		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}, traced: true, doacross: true},
-		{name: "w2-pipeline-traced", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}, traced: true},
 	}
 }
 
@@ -263,8 +260,6 @@ func classify(pl *plan.Program, out *Outcome) {
 			} else {
 				out.Backends["wavefront"] = true
 			}
-		case "pipeline":
-			out.Backends["pipeline"] = true
 		case "sequential":
 			if len(d.Rejections) > 0 {
 				out.Backends["sequential-reject"] = true
@@ -346,7 +341,7 @@ func checkStats(out *Outcome, sp *Spec, v variant, ref, st *ps.RunStats, pl *pla
 
 // checkTiming enforces the per-worker accounting identity of traced
 // runs: IdleNs is exactly the non-negative remainder of
-// Workers×Wall − Compute − Stall − BarrierIdle.
+// Workers×Wall − Compute − DoacrossStall.
 func checkTiming(out *Outcome, v variant, st *ps.RunStats) {
 	b := st.Timing
 	if b == nil {
@@ -355,19 +350,18 @@ func checkTiming(out *Outcome, v variant, st *ps.RunStats) {
 	}
 	for name, ns := range map[string]int64{
 		"ComputeNs": b.ComputeNs, "DoacrossStallNs": b.DoacrossStallNs,
-		"PipelineStallNs": b.PipelineStallNs, "BarrierIdleNs": b.BarrierIdleNs,
 		"IdleNs": b.IdleNs, "WallNs": b.WallNs,
 	} {
 		if ns < 0 {
 			out.addf("stats", v.name, "timing %s = %d is negative", name, ns)
 		}
 	}
-	want := int64(b.Workers)*b.WallNs - b.ComputeNs - b.StallNs() - b.BarrierIdleNs
+	want := int64(b.Workers)*b.WallNs - b.ComputeNs - b.DoacrossStallNs
 	if want < 0 {
 		want = 0
 	}
 	if b.IdleNs != want {
-		out.addf("stats", v.name, "timing identity broken: IdleNs = %d, want max(0, workers×wall − compute − stall − barrier_idle) = %d",
+		out.addf("stats", v.name, "timing identity broken: IdleNs = %d, want max(0, workers×wall − compute − stall) = %d",
 			b.IdleNs, want)
 	}
 }

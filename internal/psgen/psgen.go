@@ -8,12 +8,12 @@
 // boundary initializers whose dependence-vector sets deterministically
 // land the scheduler selection cascade in one backend — DOALL,
 // single-equation wavefront, multi-equation wavefront, doacross-
-// favoured wavefront geometry, PS-DSWP pipeline, or rejected/
-// sequential — so a bounded campaign provably reaches every executor
-// path. Orthogonal knobs add §5-fusable sibling pairs, integer inputs,
-// and deliberate escapes from the specializer's recognized body grammar
-// (reflected subscripts, non-finite arithmetic) so the generic checked
-// kernels and the non-finite JSON/C conventions are exercised too.
+// favoured wavefront geometry, or rejected/sequential — so a bounded
+// campaign provably reaches every executor path. Orthogonal knobs add
+// §5-fusable sibling pairs, integer inputs, and deliberate escapes from
+// the specializer's recognized body grammar (reflected subscripts,
+// non-finite arithmetic) so the generic checked kernels and the
+// non-finite JSON/C conventions are exercised too.
 //
 // Everything is a pure function of (Seed, Class): Generate is
 // deterministic, and Render emits the same source for the same Spec,
@@ -48,10 +48,12 @@ const (
 	// generated for runs pinned to the doacross (pipelined tile)
 	// schedule.
 	ClassDoacross
-	// ClassPipeline generates a recurrence with a reflected-column read
-	// (not a constant offset, so the wavefront analysis refuses) plus
-	// downstream DOALL consumers streaming its rows: the PS-DSWP
-	// pipeline backend's shape.
+	// ClassPipeline generates a 2-D recurrence with a reflected-column
+	// read (not a constant offset, so the wavefront analysis refuses)
+	// plus downstream DOALL consumers of its rows. The recurrence stays
+	// a sequential DO nest, so the class reaches the rejected/sequential
+	// fallback through a 2-D nest; it keeps its name and "pipeline"
+	// spelling so seeded RandomSpec draws stay byte-identical.
 	ClassPipeline
 	// ClassSequential generates a 1-D first-order recurrence with a
 	// boundary initializer equation and a consumer iterating a

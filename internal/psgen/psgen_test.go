@@ -2,6 +2,8 @@ package psgen
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -16,7 +18,7 @@ var backendTarget = map[Class]string{
 	ClassWavefront:      "wavefront",
 	ClassMultiWavefront: "multi-wavefront",
 	ClassDoacross:       "doacross",
-	ClassPipeline:       "pipeline",
+	ClassPipeline:       "sequential-reject",
 	ClassSequential:     "sequential-reject",
 }
 
@@ -33,6 +35,31 @@ func TestGenerateDeterministic(t *testing.T) {
 		if string(ja) != string(jb) {
 			t.Errorf("%s: inputs not deterministic", c)
 		}
+	}
+}
+
+// randomSpecDigest pins RandomSpec's output for seeds 0–199: the
+// SHA-256 of every rendered program followed by its inputs JSON. The
+// compile_churn benchmark draws its traffic from RandomSpec, so a
+// change to generation (a class's draws, its rendering, the inputs)
+// changes the benchmarked workload and must show up here.
+const randomSpecDigest = "6426381d8e8eb3e07753844483586c21b23b5ba005dff0236a24bb7d748afe63"
+
+// TestRandomSpecStable checks that seeded generation is stable across
+// commits, not just within one process.
+func TestRandomSpecStable(t *testing.T) {
+	h := sha256.New()
+	for seed := uint64(0); seed < 200; seed++ {
+		sp := RandomSpec(seed)
+		h.Write([]byte(sp.Render()))
+		in, err := sp.InputsJSON()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		h.Write(in)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != randomSpecDigest {
+		t.Errorf("RandomSpec digest over seeds 0-199 = %s, want %s", got, randomSpecDigest)
 	}
 }
 

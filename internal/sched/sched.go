@@ -22,11 +22,6 @@ const (
 	// PolicyDoacross runs wavefront tiles that wait only on the
 	// predecessor tiles the dependence window reaches.
 	PolicyDoacross
-	// PolicyPipeline prefers the PS-DSWP pipeline backend in the plan
-	// cascade: nests with downstream DOALL consumer stages lower as
-	// decoupled pipeline steps even when a wavefront transform would
-	// also apply. Wavefront steps that remain run as under PolicyAuto.
-	PolicyPipeline
 )
 
 // String names the policy the way flags and Explain spell it.
@@ -38,8 +33,6 @@ func (p Policy) String() string {
 		return "barrier"
 	case PolicyDoacross:
 		return "doacross"
-	case PolicyPipeline:
-		return "pipeline"
 	}
 	return "?"
 }
@@ -53,10 +46,8 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyBarrier, nil
 	case "doacross":
 		return PolicyDoacross, nil
-	case "pipeline":
-		return PolicyPipeline, nil
 	}
-	return PolicyAuto, fmt.Errorf("invalid schedule %q (want auto, barrier, doacross or pipeline)", s)
+	return PolicyAuto, fmt.Errorf("invalid schedule %q (want auto, barrier or doacross)", s)
 }
 
 // PredRange bounds the blocked-coordinate shift of the dependences that

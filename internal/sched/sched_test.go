@@ -337,8 +337,10 @@ func TestPolicy(t *testing.T) {
 			t.Errorf("Policy(%d).String() = %q, want %q", p, p.String(), tc.s)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy accepted a bogus mode")
+	for _, s := range []string{"bogus", "pipeline"} {
+		if _, err := ParsePolicy(s); err == nil {
+			t.Errorf("ParsePolicy accepted %q", s)
+		}
 	}
 	if Policy(99).String() != "?" {
 		t.Error("unknown policy String")

@@ -231,29 +231,19 @@ const (
 	// hyperplanes overlap. Tiles are sized from point counts (see
 	// Grain); a nest whose grid is one tile runs its planes inline.
 	ScheduleDoacross = sched.PolicyDoacross
-	// SchedulePipeline reorders the lowering cascade to prefer the
-	// PS-DSWP pipeline backend over the wavefront restructuring:
-	// sequential recurrence nests with downstream DOALL consumers run as
-	// decoupled stages over bounded channels, and only nests the
-	// pipeline recognizer rejects fall back to wavefront analysis.
-	// Wavefront steps that remain execute as under ScheduleAuto. Results are bitwise identical to every
-	// other schedule.
-	SchedulePipeline = sched.PolicyPipeline
 )
 
-// WithSchedule selects the backend preference and the wavefront tile
-// shape for a Runner (or, via EngineDefaults, for every Runner of an
-// engine): auto, barrier, doacross, or pipeline-first lowering. All
-// schedules are bitwise identical; the choice is purely about
-// synchronization cost. Inert for sequential
-// runs and modules with neither wavefront nor pipeline steps.
+// WithSchedule selects the wavefront tile shape for a Runner (or, via
+// EngineDefaults, for every Runner of an engine): auto, barrier or
+// doacross. All schedules are bitwise identical; the choice is purely
+// about synchronization cost. Inert for sequential runs and modules
+// without wavefront steps.
 func WithSchedule(s Schedule) RunOption {
 	return func(o *interp.Options) { o.Schedule = s }
 }
 
-// ParseSchedule resolves a -schedule flag value ("auto", "barrier",
-// "doacross" or "pipeline") to the Schedule the CLIs pass to
-// WithSchedule.
+// ParseSchedule resolves a -schedule flag value ("auto", "barrier" or
+// "doacross") to the Schedule the CLIs pass to WithSchedule.
 func ParseSchedule(s string) (Schedule, error) { return sched.ParsePolicy(s) }
 
 // Run executes the named module. Scalar arguments are Go ints, float64s,
@@ -294,25 +284,15 @@ func (m *Module) FlowchartFused() string { return core.Fuse(m.sched.Flowchart).C
 type PlanOptions struct {
 	// Fused selects the §5 loop-fused variant.
 	Fused bool
-	// Hyperplane selects whether the automatic restructuring cascade
-	// (§4 wavefront and PS-DSWP pipeline lowering) is applied; the zero
-	// value (HyperplaneAuto) matches the plan parallel runs execute by
-	// default.
+	// Hyperplane selects whether the automatic §4 wavefront cascade is
+	// applied; the zero value (HyperplaneAuto) matches the plan parallel
+	// runs execute by default.
 	Hyperplane HyperplaneMode
-	// Schedule mirrors WithSchedule for plan selection: SchedulePipeline
-	// selects the pipeline-first cascade variant the same runner option
-	// executes. Other schedules share the default (auto-cascade) plan.
-	Schedule Schedule
 }
 
 // planFor resolves a plan variant.
 func (m *Module) planFor(o PlanOptions) *plan.Program {
-	hyper := o.Hyperplane == HyperplaneAuto
-	return m.prog.ip.Plan(m.sem.Name, plan.Options{
-		Fuse:          o.Fused,
-		Hyperplane:    hyper,
-		PipelineFirst: hyper && o.Schedule == SchedulePipeline,
-	})
+	return m.prog.ip.Plan(m.sem.Name, plan.Options{Fuse: o.Fused, Hyperplane: o.Hyperplane == HyperplaneAuto})
 }
 
 // Plan returns the lowered loop program — the flat, slot-resolved IR

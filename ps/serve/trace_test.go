@@ -284,8 +284,6 @@ func TestServeObsMetrics(t *testing.T) {
 	text := string(data)
 
 	for _, series := range []string{
-		"ps_run_pipeline_stages_total ",
-		"ps_run_stage_stalls_total ",
 		"ps_run_specialized_total ",
 		"ps_run_arena_reuses_total ",
 		"ps_run_wall_us_count ",

@@ -12,7 +12,8 @@ import (
 	"repro/ps"
 )
 
-// reflectSeed builds the N×N seed for the Reflect pipeline workload.
+// reflectSeed builds the N×N seed for the Reflect producer/consumer
+// workload.
 func reflectSeed(n int64) *ps.Array {
 	a := ps.NewRealArray(ps.Axis{Lo: 1, Hi: n}, ps.Axis{Lo: 1, Hi: n})
 	for i := int64(1); i <= n; i++ {
@@ -24,7 +25,7 @@ func reflectSeed(n int64) *ps.Array {
 }
 
 // checkBreakdown asserts the per-worker accounting identity of one
-// traced run: compute + stall + barrier idle + idle = workers × wall,
+// traced run: compute + stall + idle = workers × wall,
 // exact whenever the idle clamp did not fire (idle > 0 means no clamp).
 func checkBreakdown(t *testing.T, b *ps.TimingBreakdown) {
 	t.Helper()
@@ -35,9 +36,9 @@ func checkBreakdown(t *testing.T, b *ps.TimingBreakdown) {
 		t.Errorf("ComputeNs = %d, want > 0", b.ComputeNs)
 	}
 	budget := int64(b.Workers) * b.WallNs
-	sum := b.ComputeNs + b.StallNs() + b.BarrierIdleNs + b.IdleNs
+	sum := b.ComputeNs + b.DoacrossStallNs + b.IdleNs
 	if b.IdleNs > 0 && sum != budget {
-		t.Errorf("accounting identity broken: compute+stall+barrier+idle = %d, workers×wall = %d", sum, budget)
+		t.Errorf("accounting identity broken: compute+stall+idle = %d, workers×wall = %d", sum, budget)
 	}
 	if sum < budget {
 		t.Errorf("attributed time %d under workers×wall %d with idle clamped", sum, budget)
@@ -126,9 +127,11 @@ func TestTraceRunWavefront(t *testing.T) {
 	}
 }
 
-// TestTraceRunPipeline traces the Reflect pipeline workload under the
-// pipeline-first schedule and checks stage spans and stall attribution
-// land in the breakdown.
+// TestTraceRunPipeline traces the Reflect producer/consumer workload,
+// which runs as a sequential producer nest and DOALL consumers: the
+// breakdown must reconcile, compute must land in the DOALL bucket, and
+// the pipeline fields kept for perfbench must stay zero with no stage
+// spans in the trace.
 func TestTraceRunPipeline(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
@@ -136,7 +139,7 @@ func TestTraceRunPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := prog.Prepare("Reflect", ps.WithSchedule(ps.SchedulePipeline))
+	run, err := prog.Prepare("Reflect")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +157,16 @@ func TestTraceRunPipeline(t *testing.T) {
 	if !reflect.DeepEqual(got, ref) {
 		t.Error("traced results diverge from the untraced run")
 	}
-	if stats.PipelineStages == 0 {
-		t.Fatal("pipeline schedule did not engage")
-	}
 	checkBreakdown(t, stats.Timing)
-	if stats.Timing.PipelineNs <= 0 {
-		t.Errorf("PipelineNs = %d, want > 0 for a pipeline workload", stats.Timing.PipelineNs)
+	if stats.Timing.DOALLNs <= 0 {
+		t.Errorf("DOALLNs = %d, want > 0 for the DOALL consumers", stats.Timing.DOALLNs)
 	}
-	if stats.StageStalls > 0 && stats.Timing.PipelineStallNs <= 0 {
-		t.Errorf("StageStalls = %d but PipelineStallNs = %d", stats.StageStalls, stats.Timing.PipelineStallNs)
+	if stats.PipelineStages != 0 || stats.Timing.PipelineStallNs != 0 || stats.Timing.BarrierIdleNs != 0 {
+		t.Errorf("retired pipeline fields set: stages=%d stall=%d barrier-idle=%d",
+			stats.PipelineStages, stats.Timing.PipelineStallNs, stats.Timing.BarrierIdleNs)
 	}
-	if names := chromeOf(t, tr); names["stage"] == 0 {
-		t.Errorf("trace has no stage spans: %v", names)
+	if names := chromeOf(t, tr); names["stage"] != 0 {
+		t.Errorf("trace has stage spans: %v", names)
 	}
 }
 

@@ -15,7 +15,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
+	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/psrc"
+	"repro/internal/sem"
 	"repro/ps"
 )
 
@@ -177,16 +181,28 @@ func TestVariantParity(t *testing.T) {
 		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.WithSchedule(ps.ScheduleDoacross)}},
 		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.WithSchedule(ps.ScheduleDoacross)}},
 		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff), ps.WithSchedule(ps.ScheduleDoacross)}},
-		// Pipeline rows: the pipeline-first cascade (PS-DSWP decoupled
-		// stages over bounded channels) must match the sequential
-		// reference bitwise, alone and crossed with workers, fusion,
-		// strictness and hyperplane-off (where the schedule is inert).
-		{"PipelinePar1", []ps.RunOption{ps.Workers(1), ps.WithSchedule(ps.SchedulePipeline)}},
-		{"PipelinePar2", []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
-		{"PipelinePar4", []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.SchedulePipeline)}},
-		{"PipelineFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.WithSchedule(ps.SchedulePipeline)}},
-		{"PipelineStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.WithSchedule(ps.SchedulePipeline)}},
-		{"PipelineHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff), ps.WithSchedule(ps.SchedulePipeline)}},
+		// Pipeline rows: the retired pipeline-first lowering must be
+		// inert — pipelineFirst below checks it renders the plan the row
+		// executes — and that plan must match the sequential reference
+		// alone and crossed with workers, fusion, strictness and
+		// hyperplane-off.
+		{"PipelinePar1", []ps.RunOption{ps.Workers(1)}},
+		{"PipelinePar2", []ps.RunOption{ps.Workers(2)}},
+		{"PipelinePar4", []ps.RunOption{ps.Workers(4)}},
+		{"PipelineFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused()}},
+		{"PipelineStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict()}},
+		{"PipelineHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
+	}
+	// pipelineFirst maps each Pipeline row to the plan variant it runs.
+	// perfbench still lowers every program with plan.Options.PipelineFirst
+	// set, which Lower ignores.
+	pipelineFirst := map[string]plan.Options{
+		"PipelinePar1":         {Hyperplane: true},
+		"PipelinePar2":         {Hyperplane: true},
+		"PipelinePar4":         {Hyperplane: true},
+		"PipelineFusedPar4":    {Fuse: true, Hyperplane: true},
+		"PipelineStrictPar2":   {Hyperplane: true},
+		"PipelineHyperOffPar4": {},
 	}
 	for _, tp := range variantPrograms(t) {
 		t.Run(tp.name, func(t *testing.T) {
@@ -202,9 +218,18 @@ func TestVariantParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ip := compileInterp(t, tp.name+".ps", tp.src)
 			for _, v := range variants {
 				v := v
 				t.Run(v.name, func(t *testing.T) {
+					if o, ok := pipelineFirst[v.name]; ok {
+						pf := o
+						pf.PipelineFirst = true
+						got := plan.Lower(ip.Prog.Module(tp.module), ip.Schedule(tp.module), pf).String()
+						if want := ip.Plan(tp.module, o).String(); got != want {
+							t.Errorf("PipelineFirst changed the lowered plan:\ngot  %s\nwant %s", got, want)
+						}
+					}
 					res, err := prog.Run(tp.module, tp.args, v.opts...)
 					if err != nil {
 						t.Fatalf("%s: %v", v.name, err)
@@ -222,23 +247,40 @@ func TestVariantParity(t *testing.T) {
 	}
 }
 
+// compileInterp compiles src straight to the interpreter, exposing the
+// per-module schedules and plan variants ps keeps private.
+func compileInterp(t *testing.T, file, src string) *interp.Program {
+	t.Helper()
+	ast, err := parser.ParseProgram(file, src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	cp, err := sem.Check(ast)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	ip, err := interp.Compile(cp)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return ip
+}
+
 // TestAutoHyperplaneEligibility pins down which backend the lowering
 // cascade picks per corpus program. Recurrence nests with
 // constant-offset dependences and a valid time vector become wavefront
 // steps — since the sibling re-merge pre-pass, that includes components
 // the scheduler split into adjacent inner nests whose unioned
 // dependences still admit a π (mutual). Nests the wavefront analysis
-// rejects fall through to the PS-DSWP pipeline backend when downstream
-// DOALL consumers stream the nest's outer dimension (reflect). Shapes
-// neither backend accepts (1-D recurrences, already-parallel nests)
-// keep their sequential DO loops. The compact plan of the default
-// (auto) variant is the witness.
+// rejects (non-constant-offset reads, 1-D recurrences, already-parallel
+// nests) keep their sequential DO loops. The compact plan of the
+// default (auto) variant is the witness.
 func TestAutoHyperplaneEligibility(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     string
 		module  string
-		backend string // "wavefront", "pipeline" or "sequential"
+		backend string // "wavefront" or "sequential"
 		pi      string // expected pi rendering for wavefront cases
 	}{
 		{"testdata/gauss_seidel", mustRead(t, "testdata/gauss_seidel.ps"), "Relaxation", "wavefront", "pi=(2,1,1)"},
@@ -261,15 +303,11 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 		// two adjacent inner nests; the pre-pass re-merges them and the
 		// union analysis wavefronts the base schedule.
 		{"testdata/mutual", mustRead(t, "testdata/mutual.ps"), "Mutual", "wavefront", "pi=(1,1)"},
-		// Pipeline positive: the reflected-column read X[I-1, N+1-J] is
-		// not a constant-offset dependence, so the wavefront analysis
-		// refuses — but the downstream OutX/OutY DOALLs stream rows of
-		// the recurrence, so the cascade decouples the nest PS-DSWP-style.
-		{"testdata/reflect", mustRead(t, "testdata/reflect.ps"), "Reflect", "pipeline", ""},
 		// Negative cases: the DO loops must survive untransformed.
-		{"psrc/Prefix", psrc.Prefix, "Prefix", "sequential", ""},             // 1-D recurrence: no plane, and its consumer iterates I, not the streamed I2
-		{"psrc/Relaxation", psrc.Relaxation, "Relaxation", "sequential", ""}, // inner loops already DOALL
-		{"psrc/Heat1D", psrc.Heat1D, "Heat1D", "sequential", ""},             // inner loop already DOALL
+		{"testdata/reflect", mustRead(t, "testdata/reflect.ps"), "Reflect", "sequential", ""}, // reflected-column read X[I-1, N+1-J] is not a constant offset
+		{"psrc/Prefix", psrc.Prefix, "Prefix", "sequential", ""},                              // 1-D recurrence: no plane
+		{"psrc/Relaxation", psrc.Relaxation, "Relaxation", "sequential", ""},                  // inner loops already DOALL
+		{"psrc/Heat1D", psrc.Heat1D, "Heat1D", "sequential", ""},                              // inner loop already DOALL
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,7 +318,7 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 			m := prog.Module(tc.module)
 			compact := m.PlanCompact()
 			off := m.PlanCompactWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff})
-			if strings.Contains(off, "WAVEFRONT") || strings.Contains(off, "PIPELINE") {
+			if strings.Contains(off, "WAVEFRONT") {
 				t.Errorf("hyperplane-off plan still restructured: %q", off)
 			}
 			switch tc.backend {
@@ -299,25 +337,8 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 				if !strings.Contains(explain, "auto-hyperplane") || !strings.Contains(explain, "wavefront") {
 					t.Errorf("Explain does not surface the wavefront decision:\n%s", explain)
 				}
-			case "pipeline":
-				if strings.Contains(compact, "WAVEFRONT") {
-					t.Errorf("wavefront-ineligible program was transformed: %q", compact)
-				}
-				if !strings.Contains(compact, "PIPELINE") {
-					t.Errorf("expected a pipeline step in auto plan, got %q", compact)
-				}
-				run, err := prog.Prepare(tc.module, ps.Workers(2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				explain := run.Explain()
-				for _, want := range []string{"auto-pipeline", "cascade:", "-> pipeline", "wavefront rejected:"} {
-					if !strings.Contains(explain, want) {
-						t.Errorf("Explain does not surface the cascade decision (missing %q):\n%s", want, explain)
-					}
-				}
 			default:
-				if strings.Contains(compact, "WAVEFRONT") || strings.Contains(compact, "PIPELINE") {
+				if strings.Contains(compact, "WAVEFRONT") {
 					t.Errorf("ineligible program was transformed: %q", compact)
 				}
 				if off != compact {
